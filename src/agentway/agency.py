@@ -10,16 +10,19 @@ format would plug in.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from . import wire
 from .transport import Endpoint, Receipt, TransportOpts, parse_endpoint
 from .wire import Frame, FrameKind, FieldDescriptor, StateRecord
+
+log = logging.getLogger(__name__)
 
 DEFAULT_CACHE_ENTRIES = 64
 DEFAULT_CACHE_BYTES = 16 * 1024 * 1024
@@ -294,7 +297,7 @@ class Agency:
         results = []
         for target in req.targets:
             endpoint = Endpoint(target.address, target.port, self.opts.protocol)
-            link = self._link_for(target.link_id)
+            link = self.topology.links.get(target.link_id) if self.topology else None
             try:
                 receipt = self.transport.send_frame(endpoint, push_frame, self.opts, link=link)
                 results.append(
@@ -305,11 +308,6 @@ class Agency:
                     wire.ForwardResult(target.address, target.port, False, wire.ERR_INTERNAL)
                 )
         return Frame(FrameKind.ACK, wire.encode_forward_results(results))
-
-    def _link_for(self, link_id: str):
-        if self.topology is None or not link_id:
-            return None
-        return self.topology.links.get(link_id)
 
     def _handle_transfer(self, frame: Frame) -> Frame:
         try:
@@ -360,16 +358,23 @@ class Agency:
             raise AdmissionError(wire.ERR_SCHEMA_MISMATCH, str(exc))
         except wire.WireError as exc:
             raise AdmissionError(wire.ERR_DECODE_FAILED, str(exc))
-        decode_ns = time.perf_counter_ns() - t0
-        with self._lock:
-            entry = self.phase_log.setdefault(payload.agent_id, {})
-            entry["decode_ns"] = decode_ns
+        if self.report_timings:
+            decode_ns = time.perf_counter_ns() - t0
+            with self._lock:
+                self.phase_log.setdefault(payload.agent_id, {})["decode_ns"] = decode_ns
         return AgentInstance(payload.agent_id, state, behavior, payload.hop_index)
 
     def run_hop(self, instance: AgentInstance) -> HopResult:
         ctx = self.context()
-        itinerary = itinerary_endpoints(instance.state, self.opts.protocol)
-        origin = itinerary[-1]
+        try:
+            itinerary = itinerary_endpoints(instance.state, self.opts.protocol)
+            origin = itinerary[-1]
+        except Exception as exc:  # the origin is the itinerary's last stop: it cannot be told
+            message = f"bad itinerary: {exc!r}"
+            log.warning("agent %s hop %d: %s", instance.agent_id.hex(), instance.hop_index, message)
+            with self._lock:
+                self.failures.setdefault(instance.agent_id, message)
+            return HopResult("failed", error=message)
         try:
             instance.behavior.on_arrival(instance.state, ctx)
             instance.behavior.task(instance.state, ctx)
@@ -398,10 +403,11 @@ class Agency:
             )
             return HopResult("failed", error=receipt.error_message, receipt=receipt)
         if self.report_timings:
-            log = self.phase_log.get(instance.agent_id, {})
+            with self._lock:
+                decode_ns = self.phase_log.get(instance.agent_id, {}).get("decode_ns", 0)
             report = wire.TimingReportPayload(
                 instance.agent_id,
-                decode_ns=log.get("decode_ns", 0),
+                decode_ns=decode_ns,
                 encode_ns=encode_ns,
                 transfer_ns=int(receipt.send_duration_s * 1e9),
             )
@@ -433,17 +439,9 @@ class Agency:
         )
         frame = Frame(FrameKind.AGENT_TRANSFER, payload.encode(), flags)
         encode_ns = time.perf_counter_ns() - t0
-        link = self._link_between(dest)
+        link = self.topology.link_between_endpoints(self.bind, dest) if self.topology else None
         receipt = self.transport.send_frame(dest, frame, self.opts, link=link)
         return receipt, encode_ns
-
-    def _link_between(self, dest: Endpoint):
-        if self.topology is None:
-            return None
-        try:
-            return self.topology.link_between_endpoints(self.bind, dest)
-        except Exception:
-            return None
 
     def _report_failure(self, origin: Endpoint, agent_id: bytes, message: str) -> None:
         with self._lock:
@@ -486,12 +484,11 @@ class Agency:
             raise AgencyError(
                 f"launch refused with code {receipt.error_code}: {receipt.error_message}"
             )
-        with self._lock:
-            self.phase_log[agent_id] = dict(
-                self.phase_log.get(agent_id, {}),
-                launch_encode_ns=encode_ns,
-                launch_transfer_ns=int(receipt.send_duration_s * 1e9),
-            )
+        if self.report_timings:
+            with self._lock:
+                self.phase_log.setdefault(agent_id, {}).update(
+                    launch_encode_ns=encode_ns, launch_transfer_ns=int(receipt.send_duration_s * 1e9)
+                )
         return agent_id
 
     def probe_code(self, endpoint: Endpoint, kind_name: str, digest: bytes) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import statistics
 import time
@@ -77,18 +76,6 @@ class BenchError(Exception):
 # state variants
 
 
-_TAG_BY_NAME = {
-    "bool": TypeTag.BOOL,
-    "int32": TypeTag.INT32,
-    "int64": TypeTag.INT64,
-    "float64": TypeTag.FLOAT64,
-    "string": TypeTag.STRING,
-    "string[]": TypeTag.STRING_ARRAY,
-    "bytes": TypeTag.BYTES,
-    "int32[]": TypeTag.INT32_ARRAY,
-}
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     name: str
@@ -98,7 +85,7 @@ class FieldSpec:
     value: object = None
 
     def descriptor(self) -> FieldDescriptor:
-        tag = _TAG_BY_NAME.get(self.type)
+        tag = wire._TYPE_BY_NAME.get(self.type)
         if tag is None:
             raise BenchError(f"unknown field type {self.type!r}")
         return FieldDescriptor(self.name, tag, transient=self.transient)
@@ -106,7 +93,7 @@ class FieldSpec:
     def make_value(self) -> object:
         if self.value is not None:
             return self.value
-        tag = _TAG_BY_NAME[self.type]
+        tag = wire._TYPE_BY_NAME[self.type]
         if tag == TypeTag.STRING:
             return _pattern_text(self.size)
         if tag == TypeTag.BYTES:

@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import os
-import random
 import sys
 import time
 from typing import Optional
@@ -26,7 +25,6 @@ from .distribution import (
     resolve_itinerary,
 )
 from .transport import (
-    Endpoint,
     LinkModel,
     SocketTransport,
     TransportError,
@@ -48,7 +46,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="agentway")
-    parser.add_argument("--seed", type=int, default=None, help="seed for generated values")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("serve", help="run an agency until interrupted")
@@ -318,8 +315,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return _COMMANDS[args.command](args)
     except (UsageError, ValueError) as exc:

@@ -12,24 +12,18 @@ from __future__ import annotations
 import ipaddress
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import wire
 from .agency import CodeImage
-from .transport import Endpoint, LinkModel, LinkStats, TransportOpts, parse_endpoint
+from .transport import Endpoint, Link, LinkModel, TransportOpts, parse_endpoint
 from .wire import Frame, FrameKind
 
 
 class DistributionError(Exception):
     pass
-
-
-@dataclass
-class InstrumentedLink:
-    link_id: str
-    stats: LinkStats = field(default_factory=LinkStats)
-    model: Optional[LinkModel] = None
 
 
 def link_id_for(seg_a: str, seg_b: str) -> str:
@@ -43,7 +37,7 @@ class Topology:
     segments: dict[str, list[Endpoint]]
     manager: Endpoint
     mdms: dict[str, Endpoint] = field(default_factory=dict)
-    links: dict[str, InstrumentedLink] = field(default_factory=dict)
+    links: dict[str, Link] = field(default_factory=dict)
     protocol: str = "tcp"
 
     def __post_init__(self) -> None:
@@ -65,7 +59,7 @@ class Topology:
             mdm = self.mdms.get(seg)
             if mdm is not None and seen.get(mdm.key) != seg:
                 raise DistributionError(f"MDM {mdm} is not a member of segment {seg!r}")
-        # make sure every declared link id exists as an instrumented object
+        # make sure every declared link id exists as a Link
         for seg_a in self.segments:
             for seg_b in self.segments:
                 self.link(link_id_for(seg_a, seg_b))
@@ -80,16 +74,20 @@ class Topology:
     def manager_segment(self) -> str:
         return self._segment_of[self.manager.key]
 
-    def link(self, link_id: str) -> InstrumentedLink:
+    def link(self, link_id: str) -> Link:
         if link_id not in self.links:
-            self.links[link_id] = InstrumentedLink(link_id)
+            self.links[link_id] = Link(link_id)
         return self.links[link_id]
 
-    def link_between(self, seg_a: str, seg_b: str) -> InstrumentedLink:
+    def link_between(self, seg_a: str, seg_b: str) -> Link:
         return self.link(link_id_for(seg_a, seg_b))
 
-    def link_between_endpoints(self, a: Endpoint, b: Endpoint) -> InstrumentedLink:
-        return self.link_between(self.segment_of(a), self.segment_of(b))
+    def link_between_endpoints(self, a: Endpoint, b: Endpoint) -> Optional[Link]:
+        """The link from a to b, or None when either is outside the topology."""
+        seg_a, seg_b = self._segment_of.get(a.key), self._segment_of.get(b.key)
+        if seg_a is None or seg_b is None:
+            return None
+        return self.link_between(seg_a, seg_b)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Topology":
@@ -257,18 +255,9 @@ def push_code(
         FrameKind.CODE_PUSH,
         wire.CodePushPayload(image.kind_name, image.digest, image.code).encode(),
     )
-    frame_bytes = len(wire.encode_frame(push_frame))
-    payload_bytes = len(push_frame.payload)
-
-    per_link: dict[str, LinkUsage] = {}
     acks: dict[tuple[str, int], bool] = {}
     errors: dict[tuple[str, int], str] = {}
     start = time.perf_counter()
-
-    def note(link_id: str) -> None:
-        usage = per_link.setdefault(link_id, LinkUsage())
-        usage.frames += 1
-        usage.code_bytes += frame_bytes
 
     fanouts: dict[tuple[str, int], list[PlanEdge]] = {}
     for edge in plan.edges:
@@ -286,9 +275,7 @@ def push_code(
             errors[edge.target.key] = str(exc)
             continue
         acks[edge.target.key] = receipt.ok
-        if receipt.ok:
-            note(edge.link_id)
-        else:
+        if not receipt.ok:
             errors[edge.target.key] = f"code {receipt.error_code}: {receipt.error_message}"
             continue
         relay_edges = fanouts.get(edge.target.key)
@@ -318,15 +305,15 @@ def push_code(
             continue
         for res in wire.decode_forward_results(fwd_receipt.reply.payload):
             acks[(res.address, res.port)] = res.ok
-            if res.ok:
-                matching = [e for e in relay_edges if e.target.key == (res.address, res.port)]
-                note(matching[0].link_id if matching else link_id_for("?", "?"))
-            else:
+            if not res.ok:
                 errors[(res.address, res.port)] = f"code {res.error_code}"
 
+    # the plan's view: one code frame on an edge's link for every target that acked it
+    frame_bytes = wire.FRAME_OVERHEAD + len(push_frame.payload)
+    frames = Counter(edge.link_id for edge in plan.edges if acks.get(edge.target.key))
     return DistributionReport(
         plan=plan,
-        per_link=per_link,
+        per_link={link_id: LinkUsage(n, n * frame_bytes) for link_id, n in frames.items()},
         acks=acks,
         errors=errors,
         elapsed_s=time.perf_counter() - start,

@@ -13,7 +13,7 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import wire
@@ -115,6 +115,15 @@ class LinkStats:
         return LinkStats(self.frames_sent, self.bytes_sent, self.code_bytes_sent, self.state_bytes_sent)
 
 
+@dataclass
+class Link:
+    """A topology link: its own send counters and, optionally, its own delay model."""
+
+    link_id: str
+    stats: LinkStats = field(default_factory=LinkStats)
+    model: Optional[LinkModel] = None
+
+
 class StatsRegistry:
     """Per-peer send counters, safe to update and read from any thread."""
 
@@ -122,10 +131,12 @@ class StatsRegistry:
         self._lock = threading.Lock()
         self._by_peer: dict[tuple[str, int], LinkStats] = {}
 
-    def record(self, peer: tuple[str, int], kind: FrameKind, frame_bytes: int, payload_bytes: int) -> None:
+    def record(self, peer: tuple[str, int], link: Optional[Link], frame: Frame, frame_bytes: int) -> None:
+        """The one place a sent frame is counted: per peer, and on its link if it has one."""
         with self._lock:
-            stats = self._by_peer.setdefault(peer, LinkStats())
-            stats.record(kind, frame_bytes, payload_bytes)
+            self._by_peer.setdefault(peer, LinkStats()).record(frame.kind, frame_bytes, len(frame.payload))
+            if link is not None:
+                link.stats.record(frame.kind, frame_bytes, len(frame.payload))
 
     def for_peer(self, peer: tuple[str, int]) -> LinkStats:
         with self._lock:
@@ -164,23 +175,50 @@ def _reply_to_receipt(reply: Frame, bytes_on_wire: int, duration_s: float) -> Re
     return Receipt(bytes_on_wire, duration_s, "ack", reply=reply)
 
 
-def _safe_handle(handler: Handler, frame: Frame, source: tuple) -> Frame:
-    try:
-        return handler(frame, source)
-    except Exception as exc:  # handler errors become ERROR frames, never crashes
-        return Frame(
-            FrameKind.ERROR,
-            wire.ErrorPayload(wire.ERR_INTERNAL, f"handler failed: {exc}").encode(),
-        )
+def _error_reply(code: int, message: str) -> bytes:
+    return wire.encode_frame(Frame(FrameKind.ERROR, wire.ErrorPayload(code, message).encode()))
 
 
 def _handle_raw(handler: Handler, data: bytes, source: tuple) -> bytes:
     try:
         frame = wire.decode_frame(data)
     except wire.WireError as exc:
-        reply = Frame(FrameKind.ERROR, wire.ErrorPayload(wire.ERR_BAD_FRAME, str(exc)).encode())
-        return wire.encode_frame(reply)
-    return wire.encode_frame(_safe_handle(handler, frame, source))
+        return _error_reply(wire.ERR_BAD_FRAME, str(exc))
+    try:
+        reply = handler(frame, source)
+    except Exception as exc:  # handler errors become ERROR frames, never crashes
+        return _error_reply(wire.ERR_INTERNAL, f"handler failed: {exc}")
+    return wire.encode_frame(reply)
+
+
+class _Transport:
+    """The send path both transports share. A subclass supplies ``_exchange``,
+    which moves the encoded frame and returns the reply and the send's duration."""
+
+    def __init__(self, stats: StatsRegistry) -> None:
+        self.stats = stats
+
+    def send_frame(
+        self,
+        endpoint: Endpoint,
+        frame: Frame,
+        opts: Optional[TransportOpts] = None,
+        link: Optional[Link] = None,
+    ) -> Receipt:
+        """Encode once, refuse an oversize datagram before any side effect,
+        exchange, count the frame once, and turn the reply into a Receipt."""
+        data = wire.encode_frame(frame)
+        if endpoint.protocol == "udp" and len(data) > UDP_MAX_PAYLOAD:
+            raise OversizeError(f"frame of {len(data)} bytes exceeds one UDP datagram")
+        reply_bytes, duration_s = self._exchange(endpoint, data, opts, link)
+        self.stats.record(endpoint.key, link, frame, len(data))
+        return _reply_to_receipt(wire.decode_frame(reply_bytes), len(data), duration_s)
+
+    def link_stats(self, peer: Endpoint | tuple[str, int]) -> LinkStats:
+        return self.stats.for_peer(peer.key if isinstance(peer, Endpoint) else peer)
+
+    def total_stats(self) -> LinkStats:
+        return self.stats.total()
 
 
 # ---------------------------------------------------------------------------
@@ -245,59 +283,36 @@ class _InProcListener:
         self._network.unregister(self._key)
 
 
-class ModeledTransport:
+class ModeledTransport(_Transport):
     """Delivers frames synchronously inside one process, recording deterministic
-    modeled delays instead of performing socket I/O."""
+    modeled delays instead of performing socket I/O. A send's delay comes from
+    its link's model if it has one, else from this transport's ``link_model``."""
 
     def __init__(
         self,
         network: InProcNetwork,
         local: Optional[Endpoint] = None,
         link_model: Optional[LinkModel] = None,
-        link_resolver: Optional[Callable[[Endpoint], Optional[LinkModel]]] = None,
     ) -> None:
+        super().__init__(network.stats)
         self.network = network
         self.local = local
         self.link_model = link_model
-        self.link_resolver = link_resolver
 
-    def send_frame(
-        self,
-        endpoint: Endpoint,
-        frame: Frame,
-        opts: Optional[TransportOpts] = None,
-        link: Optional["object"] = None,
-    ) -> Receipt:
-        opts = opts or TransportOpts(protocol=endpoint.protocol)
-        data = wire.encode_frame(frame)
-        if endpoint.protocol == "udp" and len(data) > UDP_MAX_PAYLOAD:
-            raise OversizeError(f"frame of {len(data)} bytes exceeds one UDP datagram")
-        model = None
-        if link is not None and getattr(link, "model", None) is not None:
-            model = link.model
-        elif self.link_resolver is not None:
-            model = self.link_resolver(endpoint)
-        if model is None:
-            model = self.link_model
-        delay = model.delay_s(len(data)) if model else 0.0
+    # in each class's own namespace, so one transport's sends can be wrapped apart
+    send_frame = _Transport.send_frame
+
+    def _exchange(
+        self, endpoint: Endpoint, data: bytes, opts: Optional[TransportOpts], link: Optional[Link]
+    ) -> tuple[bytes, float]:
+        model = link.model if link is not None and link.model is not None else self.link_model
         source = self.local.key if self.local else ("0.0.0.0", 0)
         reply_bytes = self.network.deliver(endpoint.key, data, source)
-        self.network.stats.record(endpoint.key, frame.kind, len(data), len(frame.payload))
-        if link is not None and getattr(link, "stats", None) is not None:
-            link.stats.record(frame.kind, len(data), len(frame.payload))
-        reply = wire.decode_frame(reply_bytes)
-        return _reply_to_receipt(reply, len(data), delay)
+        return reply_bytes, model.delay_s(len(data)) if model else 0.0
 
     def serve(self, bind: Endpoint, opts: TransportOpts, handler: Handler) -> _InProcListener:
         self.network.register(bind.key, handler)
         return _InProcListener(self.network, bind.key)
-
-    def link_stats(self, peer: Endpoint | tuple[str, int]) -> LinkStats:
-        key = peer.key if isinstance(peer, Endpoint) else peer
-        return self.network.stats.for_peer(key)
-
-    def total_stats(self) -> LinkStats:
-        return self.network.stats.total()
 
     def defer(self, fn: Callable[[], None]) -> None:
         self.network.defer(fn)
@@ -332,17 +347,32 @@ def _send_buffered(sock: socket.socket, data: bytes, buffer_size: int) -> None:
         sock.sendall(data[off : off + buffer_size])
 
 
-class _TcpListener:
-    def __init__(self, sock: socket.socket, handler: Handler, opts: TransportOpts) -> None:
+class _SocketListener:
+    """A bound socket served by one thread; ``close`` wakes that thread and waits for it."""
+
+    def __init__(self, sock: socket.socket, handler: Handler) -> None:
         self._sock = sock
         self._handler = handler
-        self._opts = opts
         self._closed = threading.Event()
         self.endpoint_port = sock.getsockname()[1]
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._thread = threading.Thread(target=self._loop, daemon=True)
         self._thread.start()
 
-    def _accept_loop(self) -> None:
+    def close(self) -> None:
+        self._closed.set()
+        try:
+            # closing alone leaves accept/recvfrom blocked; shutdown wakes them.
+            # An unconnected UDP socket raises ENOTCONN here but is woken all the same.
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._sock.close()
+        if threading.current_thread() is not self._thread:  # a UDP handler may close its own listener
+            self._thread.join()
+
+
+class _TcpListener(_SocketListener):
+    def _loop(self) -> None:
         while not self._closed.is_set():
             try:
                 conn, addr = self._sock.accept()
@@ -357,77 +387,44 @@ class _TcpListener:
                 try:
                     data = read_frame_bytes(conn)
                 except wire.WireError as exc:
-                    reply = Frame(
-                        FrameKind.ERROR, wire.ErrorPayload(wire.ERR_BAD_FRAME, str(exc)).encode()
-                    )
-                    conn.sendall(wire.encode_frame(reply))
+                    conn.sendall(_error_reply(wire.ERR_BAD_FRAME, str(exc)))
                     return
                 conn.sendall(_handle_raw(self._handler, data, addr))
             except OSError:
                 pass  # peer went away; keep serving others
 
-    def close(self) -> None:
-        self._closed.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
 
-
-class _UdpListener:
-    def __init__(self, sock: socket.socket, handler: Handler) -> None:
-        self._sock = sock
-        self._handler = handler
-        self._closed = threading.Event()
-        self.endpoint_port = sock.getsockname()[1]
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._thread.start()
-
+class _UdpListener(_SocketListener):
     def _loop(self) -> None:
-        while not self._closed.is_set():
+        while True:
             try:
                 data, addr = self._sock.recvfrom(65535)
             except OSError:
+                return
+            if self._closed.is_set():  # woken by close(): addr is None, nobody to answer
                 return
             try:
                 self._sock.sendto(_handle_raw(self._handler, data, addr), addr)
             except OSError:
                 pass
 
-    def close(self) -> None:
-        self._closed.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
 
-
-class SocketTransport:
+class SocketTransport(_Transport):
     """One frame per TCP connection or UDP datagram, one ACK/ERROR back."""
 
     def __init__(self) -> None:
-        self.stats = StatsRegistry()
+        super().__init__(StatsRegistry())
 
-    def send_frame(
-        self,
-        endpoint: Endpoint,
-        frame: Frame,
-        opts: Optional[TransportOpts] = None,
-        link: Optional[object] = None,
-    ) -> Receipt:
+    send_frame = _Transport.send_frame  # see ModeledTransport
+
+    def _exchange(
+        self, endpoint: Endpoint, data: bytes, opts: Optional[TransportOpts], link: Optional[Link]
+    ) -> tuple[bytes, float]:
         opts = opts or TransportOpts(protocol=endpoint.protocol)
-        data = wire.encode_frame(frame)
+        exchange = self._send_udp if endpoint.protocol == "udp" else self._send_tcp
         start = time.perf_counter()
-        if endpoint.protocol == "udp":
-            reply_bytes = self._send_udp(endpoint, data, opts)
-        else:
-            reply_bytes = self._send_tcp(endpoint, data, opts)
-        duration = time.perf_counter() - start
-        self.stats.record(endpoint.key, frame.kind, len(data), len(frame.payload))
-        if link is not None and getattr(link, "stats", None) is not None:
-            link.stats.record(frame.kind, len(data), len(frame.payload))
-        reply = wire.decode_frame(reply_bytes)
-        return _reply_to_receipt(reply, len(data), duration)
+        reply_bytes = exchange(endpoint, data, opts)
+        return reply_bytes, time.perf_counter() - start
 
     def _send_tcp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
         try:
@@ -440,8 +437,6 @@ class SocketTransport:
             raise TransportError(f"tcp send to {endpoint} failed: {exc}") from exc
 
     def _send_udp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
-        if len(data) > UDP_MAX_PAYLOAD:
-            raise OversizeError(f"frame of {len(data)} bytes exceeds one UDP datagram")
         family = socket.AF_INET6 if ":" in endpoint.address else socket.AF_INET
         with socket.socket(family, socket.SOCK_DGRAM) as sock:
             sock.settimeout(opts.ack_timeout_s)
@@ -467,16 +462,9 @@ class SocketTransport:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             sock.bind(bind.key)
             sock.listen(32)
-            return _TcpListener(sock, handler, opts)
+            return _TcpListener(sock, handler)
         except OSError as exc:
             raise TransportError(f"cannot bind {bind}: {exc}") from exc
-
-    def link_stats(self, peer: Endpoint | tuple[str, int]) -> LinkStats:
-        key = peer.key if isinstance(peer, Endpoint) else peer
-        return self.stats.for_peer(key)
-
-    def total_stats(self) -> LinkStats:
-        return self.stats.total()
 
     def defer(self, fn: Callable[[], None]) -> None:
         threading.Thread(target=fn, daemon=True).start()

@@ -12,7 +12,7 @@ import gzip
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Iterable
 

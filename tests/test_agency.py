@@ -338,6 +338,39 @@ class TestHops:
         finally:
             cluster.stop()
 
+    def test_malformed_itinerary_fails_the_hop(self, caplog):
+        cluster, record, img = make_cluster()
+        try:
+            record.set("it", ["10.0.0.2:9000", "not-an-endpoint"])
+            agency_b = cluster.agency(1)
+            instance = agency_b.admit_agent(transfer_frame(record, img, agent_id=b"\x0b" * 16))
+            result = agency_b.run_hop(instance)
+            assert result.status == "failed" and "bad itinerary" in result.error
+            assert "bad itinerary" in agency_b.failures[b"\x0b" * 16]
+            assert ("0b" * 16) in caplog.text
+            # delivered over the network, the deferred hop fails the same way instead of raising
+            frame = transfer_frame(record, img, agent_id=b"\x0c" * 16)
+            assert cluster.agency(0).transport.send_frame(cluster.endpoints[1], frame).ok
+            cluster.network.run()
+            assert "bad itinerary" in agency_b.failures[b"\x0c" * 16]
+            record.set("it", [])  # no origin at all
+            instance = agency_b.admit_agent(transfer_frame(record, img, agent_id=b"\x0d" * 16))
+            assert agency_b.run_hop(instance).status == "failed"
+        finally:
+            cluster.stop()
+
+    def test_phase_log_stays_empty_without_timing_reports(self):
+        cluster, record, img = make_cluster(behavior="pingpong")
+        try:
+            origin = cluster.agency(0)
+            for _ in range(200):
+                agent_id = origin.launch(record.copy(), [cluster.endpoints[1], cluster.endpoints[0]])
+                cluster.network.run()
+                assert origin.completions.pop(agent_id)
+            assert origin.phase_log == {} and cluster.agency(1).phase_log == {}
+        finally:
+            cluster.stop()
+
     def test_launch_requires_itinerary_ending_at_origin(self):
         cluster, record, img = make_cluster()
         try:

@@ -108,6 +108,12 @@ class TestTopology:
         assert topo.segment_of(Endpoint("10.0.2.1", 9000)) == "b"
         assert topo.link("a--b").model.bandwidth_bits_per_s == 64000
 
+    def test_link_between_endpoints_outside_the_topology_is_none(self):
+        topo = three_segment_topology()
+        assert topo.link_between_endpoints(ep(1, 2), ep(2, 3)) is topo.link("seg1--seg2")
+        assert topo.link_between_endpoints(ep(1, 2), ep(9, 9)) is None
+        assert topo.link_between_endpoints(ep(9, 9), ep(1, 2)) is None
+
 
 class TestPlanning:
     def test_hierarchical_nine_hosts_uses_each_wan_link_once(self):
@@ -229,6 +235,9 @@ class TestPush:
                     assert agency.lookup_code("MAExample") is not None
             assert report.per_link["seg1--seg2"].frames == 1
             assert report.per_link["seg1--seg2"].code_bytes == push_frame_bytes
+            # relay fan-out is counted on each remote segment's local link
+            assert report.per_link["local:seg2"].frames == 2
+            assert report.per_link["local:seg3"].frames == 2
             # instrumented link saw exactly one CODE_PUSH worth of code payload
             code_payload = wire.CodePushPayload(
                 image.kind_name, image.digest, image.code
@@ -281,6 +290,7 @@ class TestPush:
             assert not report.all_ok
             assert report.acks[down] is False
             assert report.acks[ep(3, 3).key] is True  # sibling still covered
+            assert report.per_link["local:seg3"].frames == 1  # only the acked target counts
         finally:
             for a in agencies.values():
                 a.stop()

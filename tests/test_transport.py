@@ -6,6 +6,7 @@ from agentway import wire
 from agentway.transport import (
     Endpoint,
     InProcNetwork,
+    Link,
     LinkModel,
     ModeledTransport,
     OversizeError,
@@ -81,6 +82,11 @@ class TestModeledTransport:
         assert receipt.send_duration_s == 0.001 + 8000 / 10_000_000
         # bit-identical across repeats
         assert t.send_frame(ep, frame).send_duration_s == receipt.send_duration_s
+        # a link without a model leaves the transport's model in charge
+        assert t.send_frame(ep, frame, link=Link("plain")).send_duration_s == receipt.send_duration_s
+        # a link's own model wins over the transport's
+        slow = Link("slow", model=LinkModel(64_000, 0.01))
+        assert t.send_frame(ep, frame, link=slow).send_duration_s == 0.01 + 8000 / 64_000
 
     def test_udp_oversize_rejected_without_side_effects(self):
         net = InProcNetwork()
@@ -279,15 +285,48 @@ class TestUdpSockets:
             listener.close()
 
 
+def serve_modeled():
+    net = InProcNetwork()
+    transport = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"))
+    ep = Endpoint("10.0.0.2", 1, "tcp")
+    return transport, transport.serve(ep, TransportOpts(), ack_handler), ep
+
+
 class TestAccounting:
     def test_bytes_sent_equals_sum_of_success_receipts(self):
-        transport, listener, ep = serve_tcp()
-        try:
-            total = 0
-            for n in (0, 10, 100, 1000):
-                receipt = transport.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"q" * n))
-                assert receipt.ok
-                total += receipt.bytes_on_wire
-            assert transport.link_stats(ep).bytes_sent == total
-        finally:
+        for transport, listener, ep in (serve_tcp(), serve_modeled()):
+            link = Link("a--b")
+            try:
+                total = 0
+                for n in (0, 10, 100, 1000):
+                    receipt = transport.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"q" * n), link=link)
+                    assert receipt.ok
+                    total += receipt.bytes_on_wire
+                transport.send_frame(ep, Frame(FrameKind.CODE_PUSH, b"c" * 64), link=link)
+                per_peer = transport.link_stats(ep)
+                assert per_peer.bytes_sent == total + 80
+                # the link's counters are written at the same site as the peer's
+                assert link.stats == per_peer
+                assert (per_peer.frames_sent, per_peer.state_bytes_sent, per_peer.code_bytes_sent) == (5, 1110, 64)
+            finally:
+                listener.close()
+
+
+class TestListenerClose:
+    def test_close_ends_the_listener_thread(self, monkeypatch):
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        # compare sets, not counts: a thread left by an earlier test may end meanwhile
+        before = set(threading.enumerate())
+        transport = SocketTransport()
+        for protocol in ("tcp", "udp", "tcp", "udp", "tcp", "udp"):
+            opts = TransportOpts(protocol=protocol)
+            listener = transport.serve(Endpoint(LOOP, 0, protocol), opts, ack_handler)
+            if protocol == "udp":  # a UDP handler runs on the listener's own thread
+                ep = Endpoint(LOOP, listener.endpoint_port, "udp")
+                assert transport.send_frame(ep, Frame(FrameKind.ACK), opts).ok
+            assert len(set(threading.enumerate()) - before) == 1
             listener.close()
+            assert set(threading.enumerate()) - before == set()
+        listener.close()  # closing twice is harmless
+        assert crashes == []  # each thread ended by returning, not by an exception
