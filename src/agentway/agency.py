@@ -10,6 +10,7 @@ format would plug in.
 from __future__ import annotations
 
 import hashlib
+import ipaddress
 import logging
 import os
 import threading
@@ -229,6 +230,7 @@ class Agency:
         if self._listener is not None:
             self._listener.close()
             self._listener = None
+        self.transport.close()
 
     def register_behavior(self, kind_name: str, behavior: Behavior) -> None:
         self._behaviors[kind_name] = behavior
@@ -297,6 +299,11 @@ class Agency:
         results = []
         for target in req.targets:
             endpoint = Endpoint(target.address, target.port, self.opts.protocol)
+            if self._is_self(endpoint):  # this relay already holds the code
+                results.append(
+                    wire.ForwardResult(target.address, target.port, False, wire.ERR_BAD_FRAME)
+                )
+                continue
             link = self.topology.links.get(target.link_id) if self.topology else None
             try:
                 receipt = self.transport.send_frame(endpoint, push_frame, self.opts, link=link)
@@ -308,6 +315,18 @@ class Agency:
                     wire.ForwardResult(target.address, target.port, False, wire.ERR_INTERNAL)
                 )
         return Frame(FrameKind.ACK, wire.encode_forward_results(results))
+
+    def _is_self(self, endpoint: Endpoint) -> bool:
+        """Whether ``endpoint`` names this agency: its bind address, or a loopback
+        or wildcard alias of it on the same port."""
+        if endpoint.port != self.bind.port:
+            return False
+        if endpoint.address == self.bind.address:
+            return True
+        target, bound = ipaddress.ip_address(endpoint.address), ipaddress.ip_address(self.bind.address)
+        return (bound.is_unspecified and (target.is_loopback or target.is_unspecified)) or (
+            target.is_unspecified and bound.is_loopback
+        )
 
     def _handle_transfer(self, frame: Frame) -> Frame:
         try:
@@ -379,7 +398,7 @@ class Agency:
             instance.behavior.on_arrival(instance.state, ctx)
             instance.behavior.task(instance.state, ctx)
         except Exception as exc:
-            self._report_failure(origin, instance.agent_id, str(exc))
+            self._report_failure(origin, instance, str(exc))
             return HopResult("failed", error=str(exc))
         if instance.hop_index >= len(itinerary) - 1:
             data = instance.state.values.get("data")
@@ -394,11 +413,11 @@ class Agency:
         try:
             receipt, encode_ns = self.dispatch(instance, dest)
         except Exception as exc:
-            self._report_failure(origin, instance.agent_id, f"dispatch failed: {exc}")
+            self._report_failure(origin, instance, f"dispatch failed: {exc}")
             return HopResult("failed", error=str(exc))
         if not receipt.ok:
             self._report_failure(
-                origin, instance.agent_id,
+                origin, instance,
                 f"hop refused with code {receipt.error_code}: {receipt.error_message}",
             )
             return HopResult("failed", error=receipt.error_message, receipt=receipt)
@@ -416,8 +435,9 @@ class Agency:
                     self.transport.send_frame(
                         origin, Frame(FrameKind.TIMING_REPORT, report.encode()), self.opts
                     )
-                except Exception:
-                    pass  # instrumentation only; never fails the hop
+                except Exception as exc:  # instrumentation only; never fails the hop
+                    log.warning("agent %s hop %d: timing report to %s not sent: %r",
+                                instance.agent_id.hex(), instance.hop_index, origin, exc)
 
             # deferred so the report lands outside the timed round-trip window
             self.transport.defer(ship_report)
@@ -443,7 +463,8 @@ class Agency:
         receipt = self.transport.send_frame(dest, frame, self.opts, link=link)
         return receipt, encode_ns
 
-    def _report_failure(self, origin: Endpoint, agent_id: bytes, message: str) -> None:
+    def _report_failure(self, origin: Endpoint, instance: AgentInstance, message: str) -> None:
+        agent_id = instance.agent_id
         with self._lock:
             self.failures.setdefault(agent_id, message)
         if origin.key == self.bind.key:
@@ -454,8 +475,9 @@ class Agency:
                 Frame(FrameKind.ERROR, wire.ErrorPayload(wire.ERR_INTERNAL, message, agent_id).encode()),
                 self.opts,
             )
-        except Exception:
-            pass
+        except Exception as exc:  # the failure stays recorded here
+            log.warning("agent %s hop %d: failure report to %s not sent (%s): %r",
+                        agent_id.hex(), instance.hop_index, origin, message, exc)
 
     # -- launching -----------------------------------------------------------
 

@@ -158,7 +158,8 @@ def cmd_push(args) -> int:
         itinerary = [h for hosts in topology.segments.values() for h in hosts]
     opts = _opts_from({}, args)
     plan = plan_distribution(itinerary, topology, args.mode)
-    report = push_code(plan, image, SocketTransport(), opts, topology)
+    with SocketTransport() as transport:
+        report = push_code(plan, image, transport, opts, topology)
     for peer, ok in sorted(report.acks.items()):
         status = "ok" if ok else f"FAILED ({report.errors.get(peer, '?')})"
         print(f"{peer[0]}:{peer[1]}  {status}")

@@ -8,6 +8,8 @@ while exercising identical codec paths.
 from __future__ import annotations
 
 import ipaddress
+import logging
+import selectors
 import socket
 import struct
 import threading
@@ -18,6 +20,8 @@ from typing import Callable, Optional
 
 from . import wire
 from .wire import Frame, FrameKind
+
+log = logging.getLogger(__name__)
 
 UDP_MAX_PAYLOAD = 65507
 
@@ -185,10 +189,9 @@ def _handle_raw(handler: Handler, data: bytes, source: tuple) -> bytes:
     except wire.WireError as exc:
         return _error_reply(wire.ERR_BAD_FRAME, str(exc))
     try:
-        reply = handler(frame, source)
+        return wire.encode_frame(handler(frame, source))
     except Exception as exc:  # handler errors become ERROR frames, never crashes
         return _error_reply(wire.ERR_INTERNAL, f"handler failed: {exc}")
-    return wire.encode_frame(reply)
 
 
 class _Transport:
@@ -219,6 +222,15 @@ class _Transport:
 
     def total_stats(self) -> LinkStats:
         return self.stats.total()
+
+    def close(self) -> None:
+        """Release what the transport holds between sends; the modeled one holds nothing."""
+
+    def __enter__(self) -> "_Transport":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +333,21 @@ class ModeledTransport(_Transport):
 # ---------------------------------------------------------------------------
 # real sockets
 
+MAX_IDLE_PER_PEER = 4  # idle TCP connections a SocketTransport keeps per (peer, no_delay)
+MAX_CONNECTIONS = 64  # accepted TCP connections one listener serves at once
+CONN_TIMEOUT_S = 30.0  # a served connection silent this long, idle or mid-frame, is closed
+# kinds whose handler sends frames itself (a relay forwarding code): never run on the listener thread
+_OFFLOADED_KINDS = frozenset({int(FrameKind.FORWARD_REQUEST)})
+_HEADER_BYTES = 12
+_RECV_BYTES = 65536
+
+
+def _frame_end(header: bytes | bytearray) -> int:
+    """Length of the whole frame that starts with this 12-byte header, magic checked."""
+    if header[:4] != wire.MAGIC:
+        raise wire.WireError(f"bad magic {bytes(header[:4])!r}")
+    return _HEADER_BYTES + struct.unpack_from(">I", header, 8)[0] + 4  # + CRC
+
 
 def _read_exactly(sock: socket.socket, n: int) -> bytes:
     buf = bytearray()
@@ -334,12 +361,8 @@ def _read_exactly(sock: socket.socket, n: int) -> bytes:
 
 def read_frame_bytes(sock: socket.socket) -> bytes:
     """Read one complete frame off a TCP stream, validating the header first."""
-    header = _read_exactly(sock, 12)
-    if header[:4] != wire.MAGIC:
-        raise wire.WireError(f"bad magic {header[:4]!r}")
-    payload_len = struct.unpack(">I", header[8:12])[0]
-    rest = _read_exactly(sock, payload_len + 4)
-    return header + rest
+    header = _read_exactly(sock, _HEADER_BYTES)
+    return header + _read_exactly(sock, _frame_end(header) - _HEADER_BYTES)
 
 
 def _send_buffered(sock: socket.socket, data: bytes, buffer_size: int) -> None:
@@ -347,8 +370,22 @@ def _send_buffered(sock: socket.socket, data: bytes, buffer_size: int) -> None:
         sock.sendall(data[off : off + buffer_size])
 
 
+def _still_open(sock: socket.socket) -> bool:
+    """An idle connection is fit to carry a frame only while nothing can be read
+    from it: a peer that closed it makes it readable (end of stream)."""
+    sock.settimeout(0)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return True
+    except OSError:
+        return False
+    return False  # end of stream, or bytes nobody asked for
+
+
 class _SocketListener:
-    """A bound socket served by one thread; ``close`` wakes that thread and waits for it."""
+    """A bound socket served by one thread; ``close`` wakes that thread and
+    waits for it, and the thread closes what it served on its way out."""
 
     def __init__(self, sock: socket.socket, handler: Handler) -> None:
         self._sock = sock
@@ -361,61 +398,250 @@ class _SocketListener:
     def close(self) -> None:
         self._closed.set()
         try:
-            # closing alone leaves accept/recvfrom blocked; shutdown wakes them.
+            # closing alone leaves accept/select/recvfrom blocked; shutdown wakes them.
             # An unconnected UDP socket raises ENOTCONN here but is woken all the same.
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        self._sock.close()
-        if threading.current_thread() is not self._thread:  # a UDP handler may close its own listener
+        if threading.current_thread() is not self._thread:  # a handler may close its own listener
             self._thread.join()
 
 
-class _TcpListener(_SocketListener):
-    def _loop(self) -> None:
-        while not self._closed.is_set():
-            try:
-                conn, addr = self._sock.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_conn, args=(conn, addr), daemon=True).start()
+@dataclass(slots=True)
+class _Conn:
+    """An accepted connection: bytes received and not yet framed, reply bytes not
+    yet sent, when it last moved a byte, and whether a reply is being made off
+    the listener thread."""
 
-    def _serve_conn(self, conn: socket.socket, addr: tuple) -> None:
-        with conn:
+    sock: socket.socket
+    addr: tuple
+    last_active: float
+    inbox: bytearray = field(default_factory=bytearray)
+    outbox: bytes = b""
+    pending: bool = False
+
+
+_WAKE = "wake"  # selector data of the socket that off-thread handlers write to
+
+
+class _TcpListener(_SocketListener):
+    """One thread serves the listening socket and every accepted connection.
+
+    A selector says which sockets are ready. A connection carries any number
+    of frames; the thread answers its complete frames in arrival order and runs
+    the handler inline, so handlers run on this thread. The exception is a
+    frame of a kind in ``_OFFLOADED_KINDS``: its handler sends frames itself
+    (a relay forwarding code), so it runs on a thread of its own, and the
+    connection is answered, and read on, when that thread is done. A peer that
+    stalls mid-frame holds up nobody: its bytes wait in its own buffer. A
+    connection whose reply cannot be written at once is not read again until
+    the reply is out. At most ``MAX_CONNECTIONS`` connections are open at once
+    (``open_connections``, written by this thread only); one accepted beyond
+    that is closed at once. A connection that moves no byte for
+    ``CONN_TIMEOUT_S``, idle or stalled mid-frame, is closed, so silent peers
+    cannot keep the table full.
+    """
+
+    def __init__(self, sock: socket.socket, handler: Handler) -> None:
+        sock.setblocking(False)
+        self._done: deque[tuple[_Conn, bytes]] = deque()  # replies made off this thread
+        self._wake: Optional[socket.socket] = None  # the pair off-thread handlers wake this thread by
+        self._waker: Optional[socket.socket] = None
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(sock, selectors.EVENT_READ)
+        self.open_connections = 0
+        super().__init__(sock, handler)
+
+    def _loop(self) -> None:
+        next_sweep = 0.0
+        try:
+            while not self._closed.is_set():
+                for key, events in self._selector.select(CONN_TIMEOUT_S / 4):
+                    if key.data is None:
+                        self._accept()
+                    elif key.data is _WAKE:
+                        self._finish_offloaded()
+                    else:
+                        self._service(key.data, events)
+                now = time.monotonic()
+                if now >= next_sweep:
+                    next_sweep = now + CONN_TIMEOUT_S / 4
+                    self._sweep(now)
+        finally:  # the listening socket, the wake pair and every connection
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
+            if self._waker is not None:
+                self._waker.close()
+
+    def _accept(self) -> None:
+        try:
+            sock, addr = self._sock.accept()
+        except OSError:  # the peer gave up before we got to it, or close() shut the socket
+            return
+        if self.open_connections >= MAX_CONNECTIONS:
+            log.warning("listener on port %d: %d connections open, closing one from %s",
+                        self.endpoint_port, self.open_connections, addr)
+            sock.close()
+            return
+        sock.setblocking(False)
+        self._selector.register(sock, selectors.EVENT_READ, _Conn(sock, addr, time.monotonic()))
+        self.open_connections += 1
+
+    def _drop(self, conn: _Conn) -> None:
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        self.open_connections -= 1
+
+    def _sweep(self, now: float) -> None:
+        """Close every connection that has moved no byte for ``CONN_TIMEOUT_S``
+        and is not waiting on an off-thread handler."""
+        for key in list(self._selector.get_map().values()):
+            conn = key.data
+            if isinstance(conn, _Conn) and not conn.pending and now - conn.last_active > CONN_TIMEOUT_S:
+                log.debug("listener on port %d: closing connection from %s, silent for %.0f s",
+                          self.endpoint_port, conn.addr, now - conn.last_active)
+                self._drop(conn)
+
+    def _service(self, conn: _Conn, events: int) -> None:
+        if events & selectors.EVENT_WRITE:
+            if not self._send(conn, conn.outbox):
+                return
+        else:
             try:
-                conn.settimeout(30.0)
-                try:
-                    data = read_frame_bytes(conn)
-                except wire.WireError as exc:
-                    conn.sendall(_error_reply(wire.ERR_BAD_FRAME, str(exc)))
-                    return
-                conn.sendall(_handle_raw(self._handler, data, addr))
+                chunk = conn.sock.recv(_RECV_BYTES)
+            except BlockingIOError:
+                return
             except OSError:
-                pass  # peer went away; keep serving others
+                chunk = b""
+            if not chunk:  # the peer closed, perhaps mid-frame: there is nobody to answer
+                self._drop(conn)
+                return
+            conn.inbox += chunk
+            conn.last_active = time.monotonic()
+        self._answer(conn)
+
+    def _answer(self, conn: _Conn) -> None:
+        """Answer complete frames in arrival order until a reply cannot be written
+        at once or is being made off this thread."""
+        inbox = conn.inbox
+        while not conn.pending and len(inbox) >= _HEADER_BYTES:
+            try:
+                end = _frame_end(inbox)
+            except wire.WireError as exc:  # the stream cannot be resynchronised: answer, then close
+                try:
+                    conn.sock.send(_error_reply(wire.ERR_BAD_FRAME, str(exc)))
+                except OSError:
+                    pass
+                self._drop(conn)
+                return
+            if len(inbox) < end:
+                return
+            data = bytes(inbox[:end])
+            del inbox[:end]
+            if data[5] in _OFFLOADED_KINDS:  # the kind byte
+                self._offload(conn, data)
+                return
+            if not self._send(conn, _handle_raw(self._handler, data, conn.addr)):
+                return
+
+    def _offload(self, conn: _Conn, data: bytes) -> None:
+        """Handle one frame on a thread of its own. The wake pair is made on first
+        use: one per listener measurably slows setting up an agency."""
+        if self._waker is None:
+            self._wake, self._waker = socket.socketpair()
+            self._wake.setblocking(False)
+            self._waker.setblocking(False)
+            self._selector.register(self._wake, selectors.EVENT_READ, _WAKE)
+        conn.pending = True
+        threading.Thread(target=self._handle_offloaded, args=(conn, data), daemon=True).start()
+
+    def _handle_offloaded(self, conn: _Conn, data: bytes) -> None:
+        self._done.append((conn, _handle_raw(self._handler, data, conn.addr)))
+        try:
+            self._waker.send(b"\0")
+        except OSError:  # a wake byte is already waiting, or the listener has closed
+            pass
+
+    def _finish_offloaded(self) -> None:
+        try:
+            self._wake.recv(4096)
+        except OSError:
+            pass
+        while self._done:
+            conn, reply = self._done.popleft()
+            conn.pending = False
+            if conn.sock.fileno() < 0:  # the peer closed while it waited
+                continue
+            conn.last_active = time.monotonic()
+            if self._send(conn, reply):
+                self._answer(conn)
+
+    def _send(self, conn: _Conn, data: bytes) -> bool:
+        """Write what the socket takes now; True when nothing is left over.
+        A leftover is kept, and the connection waits for writability instead of input."""
+        try:
+            sent = conn.sock.send(data)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self._drop(conn)
+            return False
+        if sent:
+            conn.last_active = time.monotonic()
+        left = data[sent:]
+        if bool(left) != bool(conn.outbox):
+            self._selector.modify(conn.sock, selectors.EVENT_WRITE if left else selectors.EVENT_READ, conn)
+        conn.outbox = left
+        return not left
 
 
 class _UdpListener(_SocketListener):
     def _loop(self) -> None:
-        while True:
-            try:
-                data, addr = self._sock.recvfrom(65535)
-            except OSError:
-                return
-            if self._closed.is_set():  # woken by close(): addr is None, nobody to answer
-                return
-            try:
-                self._sock.sendto(_handle_raw(self._handler, data, addr), addr)
-            except OSError:
-                pass
+        with self._sock:
+            while True:
+                try:
+                    data, addr = self._sock.recvfrom(65535)
+                except OSError:
+                    return
+                if self._closed.is_set():  # woken by close(): addr is None, nobody to answer
+                    return
+                try:
+                    self._sock.sendto(_handle_raw(self._handler, data, addr), addr)
+                except OSError:
+                    pass
 
 
 class SocketTransport(_Transport):
-    """One frame per TCP connection or UDP datagram, one ACK/ERROR back."""
+    """Frames over real sockets, one ACK/ERROR back for each.
+
+    TCP connections are reused: a connection carries one frame at a time, its
+    reply read before the connection joins the idle set kept per
+    (peer, ``no_delay``), at most ``MAX_IDLE_PER_PEER`` of them. An idle
+    connection is taken again only if the peer has not closed it meanwhile and
+    it has been idle for less than half of ``CONN_TIMEOUT_S``, so it is never
+    written just as the peer's listener closes it for silence. A frame is never
+    written twice: a failure after the write is a ``TransportError``, so a hop
+    runs at most once. UDP sends one datagram per frame, with one retransmission.
+    """
 
     def __init__(self) -> None:
         super().__init__(StatsRegistry())
+        self._idle_lock = threading.Lock()
+        self._idle: dict[tuple, list[tuple[socket.socket, float]]] = {}  # (socket, idle since)
+        self._generation = 0  # close() counts up; a connection taken before is not kept
 
     send_frame = _Transport.send_frame  # see ModeledTransport
+
+    def close(self) -> None:
+        """Close the idle connections, and each connection in use once its send
+        is done; a later send connects afresh."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, {}
+            self._generation += 1
+        for entries in idle.values():
+            for sock, _ in entries:
+                sock.close()
 
     def _exchange(
         self, endpoint: Endpoint, data: bytes, opts: Optional[TransportOpts], link: Optional[Link]
@@ -426,15 +652,55 @@ class SocketTransport(_Transport):
         reply_bytes = exchange(endpoint, data, opts)
         return reply_bytes, time.perf_counter() - start
 
-    def _send_tcp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
+    def _take_idle(self, key: tuple) -> tuple[Optional[socket.socket], int]:
+        """An idle connection fit for use, or None; and the generation it is taken in."""
+        while True:
+            with self._idle_lock:
+                generation = self._generation
+                idle = self._idle.get(key)
+                if not idle:
+                    return None, generation
+                sock, since = idle.pop()
+                if not idle:
+                    del self._idle[key]
+            if time.monotonic() - since < CONN_TIMEOUT_S / 2 and _still_open(sock):
+                return sock, generation
+            sock.close()
+
+    def _put_idle(self, key: tuple, sock: socket.socket, generation: int) -> None:
+        with self._idle_lock:
+            if generation == self._generation:
+                idle = self._idle.setdefault(key, [])
+                if len(idle) < MAX_IDLE_PER_PEER:
+                    idle.append((sock, time.monotonic()))
+                    return
+        sock.close()
+
+    def _connect(self, endpoint: Endpoint, opts: TransportOpts) -> socket.socket:
         try:
-            with socket.create_connection(endpoint.key, timeout=opts.connect_timeout_s) as sock:
-                if opts.no_delay:
-                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                _send_buffered(sock, data, opts.buffer_size)
-                return read_frame_bytes(sock)
+            sock = socket.create_connection(endpoint.key, timeout=opts.connect_timeout_s)
         except OSError as exc:
+            raise TransportError(f"tcp connect to {endpoint} failed: {exc}") from exc
+        if opts.no_delay:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
+    def _send_tcp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
+        key = (endpoint.key, opts.no_delay)
+        sock, generation = self._take_idle(key)
+        sock = sock or self._connect(endpoint, opts)
+        try:
+            sock.settimeout(opts.connect_timeout_s)
+            _send_buffered(sock, data, opts.buffer_size)
+            reply = read_frame_bytes(sock)
+        except OSError as exc:
+            sock.close()
             raise TransportError(f"tcp send to {endpoint} failed: {exc}") from exc
+        except BaseException:  # a reply cut short or malformed leaves the stream out of step
+            sock.close()
+            raise
+        self._put_idle(key, sock, generation)
+        return reply
 
     def _send_udp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
         family = socket.AF_INET6 if ":" in endpoint.address else socket.AF_INET

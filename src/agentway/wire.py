@@ -9,7 +9,6 @@ on every decode.
 from __future__ import annotations
 
 import gzip
-import json
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -106,9 +105,6 @@ class _Reader:
 
     def u32(self) -> int:
         return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
 
     def utf8(self, n: int) -> str:
         raw = self.take(n)
@@ -621,8 +617,3 @@ def schema_to_dict(kind_name: str, namespace: str, fields: list[FieldDescriptor]
             entry["default"] = f.default.hex() if isinstance(f.default, bytes) else f.default
         entries.append(entry)
     return {"kind_name": kind_name, "namespace": namespace, "fields": entries}
-
-
-def load_schema(path: str) -> tuple[str, str, list[FieldDescriptor]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return schema_from_dict(json.load(fh))

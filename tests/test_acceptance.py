@@ -328,21 +328,24 @@ def test_09_pre_resolution():
 @criterion(10, "size, serdes time, and transfer time grow together")
 def test_10_monotone_size_effect():
     sizes = [512, 4096, 32768]
-    bench.measure_serdes_cost("warmup", bench.sized_variant(512), reps=5)
-    # min of three medians: robust against scheduler noise on the small sizes
-    samples = {
-        n: [bench.measure_serdes_cost(f"{n}B", bench.sized_variant(n), reps=50)
-            for _ in range(3)]
-        for n in sizes
-    }
-    wire_sizes = [samples[n][0].uncompressed_frame_bytes for n in sizes]
-    # aggregate serdes work across both wire configurations; the plain
+    records = {n: bench.sized_variant(n) for n in sizes}
+    bench.measure_serdes_cost("warmup", records[512], reps=5)
+    # the sizes take turns, one cycle each, 240 rounds over, so a change in host
+    # speed hits every size alike; a size's cost is then the least median over
+    # blocks of 20 consecutive rounds, which drops the blocks a slowdown hit.
+    # Serdes work is aggregated across both wire configurations: the plain
     # pipeline alone is memcpy-bound and its 512-vs-4096 gap sits below
     # scheduler noise
-    serdes = [
-        min(c.pipeline_uncompressed_ns + c.pipeline_compressed_ns for c in samples[n])
-        for n in sizes
-    ]
+    rounds, block = 240, 20
+    costs = {n: [] for n in sizes}
+    for _ in range(rounds):
+        for n in sizes:
+            costs[n].append(bench.measure_serdes_cost(f"{n}B", records[n], reps=1))
+    wire_sizes = [costs[n][0].uncompressed_frame_bytes for n in sizes]
+    serdes = []
+    for n in sizes:
+        cycles = [c.pipeline_uncompressed_ns + c.pipeline_compressed_ns for c in costs[n]]
+        serdes.append(min(statistics.median(cycles[i : i + block]) for i in range(0, rounds, block)))
     link = LinkModel(10_000_000, 0.001)
     transfer = [link.delay_s(n) for n in wire_sizes]
     assert wire_sizes == sorted(wire_sizes)

@@ -1,6 +1,8 @@
 import hashlib
 import random
+import socket
 import threading
+import time
 
 import pytest
 
@@ -14,7 +16,7 @@ from agentway.agency import (
     collector_behavior,
     pingpong_behavior,
 )
-from agentway.transport import Endpoint, InProcNetwork, ModeledTransport, TransportOpts
+from agentway.transport import Endpoint, InProcNetwork, ModeledTransport, SocketTransport, TransportOpts
 from agentway.wire import FieldDescriptor, Frame, FrameKind, StateRecord, TypeTag
 from conftest import Cluster
 
@@ -359,6 +361,18 @@ class TestHops:
         finally:
             cluster.stop()
 
+    def test_failure_report_that_cannot_be_sent_is_logged(self, caplog):
+        cluster, record, img = make_cluster()
+        try:
+            origin = cluster.agency(0)
+            agent_id = origin.launch(record.copy(), [cluster.endpoints[1], cluster.endpoints[0]])
+            origin.stop()  # the origin goes away while its agent is at the first stop
+            cluster.network.run()
+            assert "dispatch failed" in cluster.agency(1).failures[agent_id]
+            assert f"agent {agent_id.hex()} hop 0: failure report to {cluster.endpoints[0]} not sent" in caplog.text
+        finally:
+            cluster.stop()
+
     def test_phase_log_stays_empty_without_timing_reports(self):
         cluster, record, img = make_cluster(behavior="pingpong")
         try:
@@ -378,3 +392,71 @@ class TestHops:
                 cluster.agency(0).launch(record.copy(), [cluster.endpoints[1]])
         finally:
             cluster.stop()
+
+
+def free_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def forward_request(img, *targets):
+    request = wire.ForwardRequestPayload(
+        img.kind_name, img.digest, tuple(wire.ForwardTarget("127.0.0.1", port, "seg") for port in targets)
+    )
+    return Frame(FrameKind.FORWARD_REQUEST, request.encode())
+
+
+class TestRelayOverSockets:
+    @pytest.mark.parametrize("bind_address", ["127.0.0.1", "0.0.0.0"])
+    def test_forward_request_naming_the_relay_itself_is_refused_promptly(self, bind_address):
+        port = free_port()
+        opts = TransportOpts(connect_timeout_s=2.0)
+        relay = Agency("relay", Endpoint(bind_address, port), SocketTransport(), opts)
+        img = CodeImage.from_code("Relayed", b"r" * 64)
+        relay.install_code(img)
+        relay.start()
+        client = SocketTransport()
+        try:
+            start = time.monotonic()
+            receipt = client.send_frame(Endpoint("127.0.0.1", port), forward_request(img, port), opts)
+            elapsed = time.monotonic() - start
+            assert receipt.ok
+            [result] = wire.decode_forward_results(receipt.reply.payload)
+            assert (result.port, result.ok) == (port, False)
+            assert elapsed < 1.0
+        finally:
+            client.close()
+            relay.stop()
+
+    def test_forward_to_a_silent_target_does_not_hold_up_the_relay(self):
+        opts = TransportOpts(connect_timeout_s=1.5)
+        relay = Agency("relay", Endpoint("127.0.0.1", free_port()), SocketTransport(), opts)
+        img = CodeImage.from_code("Relayed", b"r" * 64)
+        relay.install_code(img)
+        relay.start()
+        client = SocketTransport()
+        with socket.socket() as silent:  # accepts connections, never answers
+            silent.bind(("127.0.0.1", 0))
+            silent.listen(4)
+            forwarded = []
+            forward = threading.Thread(target=lambda: forwarded.append(
+                client.send_frame(relay.bind, forward_request(img, silent.getsockname()[1]),
+                                  TransportOpts(connect_timeout_s=5.0))
+            ))
+            try:
+                forward.start()
+                time.sleep(0.2)  # the relay is now waiting on the silent target
+                other = SocketTransport()
+                start = time.monotonic()
+                push = wire.CodePushPayload(img.kind_name, img.digest, img.code)
+                assert other.send_frame(relay.bind, Frame(FrameKind.CODE_PUSH, push.encode()), opts).ok
+                assert time.monotonic() - start < 0.5
+                other.close()
+                forward.join(timeout=5)
+                [result] = wire.decode_forward_results(forwarded[0].reply.payload)
+                assert not result.ok  # the silent target timed out
+            finally:
+                forward.join(timeout=5)
+                client.close()
+                relay.stop()

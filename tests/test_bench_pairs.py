@@ -1,0 +1,47 @@
+"""The pairing tool's arithmetic: seed lists, wins, the gain rule and the bound."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+LATENCY = {"name": "op_p50_us", "unit": "us", "better": "lower", "bound": 0.25}
+RATE = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+
+
+def runs(name, values):
+    return [{"metrics": {name: {"value": v}}} for v in values]
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("301-305") == [301, 302, 303, 304, 305]
+    assert bench_pairs.parse_seeds("1,5,9-10") == [1, 5, 9, 10]
+
+
+def test_clear_gain_on_a_lower_is_better_metric():
+    parent = [1600, 1650, 1700, 1620, 1680, 1640, 1660, 1610, 1690, 1630]
+    change = [700, 710, 720, 705, 715, 702, 712, 708, 718, 1700]  # the last pair is a loss
+    m = bench_pairs.compare(LATENCY, runs("op_p50_us", parent), runs("op_p50_us", change))
+    assert (m["pairs"], m["change_wins"]) == (10, 9)
+    assert m["gain_shown"] and not m["worse_than_bound"]
+    assert m["median_change_pct"] < -50
+
+
+def test_no_gain_inside_the_parents_spread():
+    parent = [100, 120, 90, 110, 105, 95, 115, 85, 125, 100]
+    change = [v - 1 for v in parent]  # wins every pair, by less than the parent's quartile spread
+    m = bench_pairs.compare(LATENCY, runs("op_p50_us", parent), runs("op_p50_us", change))
+    assert m["change_wins"] == 10 and not m["gain_shown"]
+
+
+def test_worse_than_bound_on_a_higher_is_better_metric():
+    parent = [1000.0] * 4
+    m = bench_pairs.compare(RATE, runs("ops_per_s", parent), runs("ops_per_s", [740.0] * 4))
+    assert m["worse_than_bound"] and m["change_wins"] == 0
+    m = bench_pairs.compare(RATE, runs("ops_per_s", parent), runs("ops_per_s", [760.0] * 4))
+    assert not m["worse_than_bound"]
+    m = bench_pairs.compare(RATE, runs("ops_per_s", parent), runs("ops_per_s", parent))
+    assert m["change_wins"] == 0 and not m["gain_shown"]  # ties count for neither side

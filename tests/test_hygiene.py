@@ -1,4 +1,5 @@
-"""Static checks on the package source: no import is left unused."""
+"""Static checks on the package source: no import is left unused, no broad
+exception handler swallows an error without a word."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,31 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def silent_broad_handlers(source: str) -> list[str]:
+    """``except Exception`` (or bare ``except``, or ``BaseException``) handlers whose body is only ``pass``."""
+    broad = {"Exception", "BaseException"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if any(n is None or (isinstance(n, ast.Name) and n.id in broad) for n in names) and all(
+            isinstance(stmt, ast.Pass) for stmt in node.body
+        ):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_the_scan_finds_a_silent_broad_handler():
+    assert silent_broad_handlers("try:\n    f()\nexcept Exception:\n    pass\n") == ["line 3"]
+    assert silent_broad_handlers("try:\n    f()\nexcept (OSError, Exception):\n    pass\n") == ["line 3"]
+    assert silent_broad_handlers("try:\n    f()\nexcept:\n    pass\n") == ["line 3"]
+    assert silent_broad_handlers("try:\n    f()\nexcept OSError:\n    pass\n") == []
+    assert silent_broad_handlers("try:\n    f()\nexcept Exception as e:\n    log(e)\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_silent_broad_handlers(path):
+    assert silent_broad_handlers(path.read_text(encoding="utf-8")) == []

@@ -1,7 +1,10 @@
+import socket
 import threading
+import time
 
 import pytest
 
+from agentway import transport as transport_module
 from agentway import wire
 from agentway.transport import (
     Endpoint,
@@ -143,6 +146,7 @@ class TestTcpSockets:
             assert transport.link_stats(ep).bytes_sent == 16
         finally:
             listener.close()
+            transport.close()
 
     def test_handler_sees_equal_frame_once(self):
         seen = []
@@ -158,9 +162,9 @@ class TestTcpSockets:
             assert seen == [sent]
         finally:
             listener.close()
+            transport.close()
 
     def test_garbage_gets_error_reply_and_listener_survives(self):
-        import socket
 
         transport, listener, ep = serve_tcp()
         try:
@@ -173,6 +177,7 @@ class TestTcpSockets:
             assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
         finally:
             listener.close()
+            transport.close()
 
     def test_two_concurrent_senders_100_frames_each(self):
         count = threading.Lock(), [0]
@@ -185,9 +190,9 @@ class TestTcpSockets:
         transport, listener, ep = serve_tcp(handler)
 
         def blast():
-            mine = SocketTransport()
-            for _ in range(100):
-                assert mine.send_frame(ep, Frame(FrameKind.ACK, b"ping")).ok
+            with SocketTransport() as mine:
+                for _ in range(100):
+                    assert mine.send_frame(ep, Frame(FrameKind.ACK, b"ping")).ok
 
         try:
             threads = [threading.Thread(target=blast) for _ in range(2)]
@@ -198,6 +203,7 @@ class TestTcpSockets:
             assert count[1][0] == 200
         finally:
             listener.close()
+            transport.close()
 
     def test_connection_refused(self):
         transport = SocketTransport()
@@ -217,6 +223,7 @@ class TestTcpSockets:
             assert receipt.error_message == "nope"
         finally:
             listener.close()
+            transport.close()
 
     def test_byte_by_byte_buffering_still_delivers(self):
         transport, listener, ep = serve_tcp()
@@ -227,6 +234,7 @@ class TestTcpSockets:
             assert receipt.ok
         finally:
             listener.close()
+            transport.close()
 
 
 class TestUdpSockets:
@@ -256,7 +264,6 @@ class TestUdpSockets:
         def mute(frame, source):
             raise SystemExit  # never replies
 
-        import socket
 
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.bind((LOOP, 0))  # bound but nobody reads: no ICMP, no reply
@@ -268,7 +275,6 @@ class TestUdpSockets:
             sock.close()
 
     def test_malformed_datagram_gets_error_and_listener_survives(self):
-        import socket
 
         transport = SocketTransport()
         opts = TransportOpts(protocol="udp")
@@ -310,6 +316,7 @@ class TestAccounting:
                 assert (per_peer.frames_sent, per_peer.state_bytes_sent, per_peer.code_bytes_sent) == (5, 1110, 64)
             finally:
                 listener.close()
+                transport.close()
 
 
 class TestListenerClose:
@@ -330,3 +337,206 @@ class TestListenerClose:
             assert set(threading.enumerate()) - before == set()
         listener.close()  # closing twice is harmless
         assert crashes == []  # each thread ended by returning, not by an exception
+
+
+def wait_until(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+class TestTcpConnections:
+    def test_one_connection_carries_many_frames(self):
+        sources = []
+
+        def handler(frame, source):
+            sources.append(source)
+            return Frame(FrameKind.ACK)
+
+        transport, listener, ep = serve_tcp(handler)
+        try:
+            for i in range(50):
+                assert transport.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"x" * i)).ok
+            assert len(sources) == 50 and len(set(sources)) == 1
+            assert listener.open_connections == 1
+        finally:
+            listener.close()
+            transport.close()
+
+    def test_close_releases_idle_connections(self):
+        transport, listener, ep = serve_tcp()
+        try:
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+            assert listener.open_connections == 1
+            transport.close()
+            assert wait_until(lambda: listener.open_connections == 0)
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok  # reconnects on demand
+        finally:
+            listener.close()
+            transport.close()
+
+    def test_rebound_listener_is_reached_on_a_fresh_connection(self):
+        sources = []
+
+        def handler(frame, source):
+            sources.append(source)
+            return Frame(FrameKind.ACK)
+
+        transport, listener, ep = serve_tcp(handler)
+        assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+        listener.close()  # the pooled connection's peer is gone
+        listener = transport.serve(ep, TransportOpts(), handler)
+        try:
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+            assert len(sources) == 2 and sources[0] != sources[1]
+        finally:
+            listener.close()
+            transport.close()
+
+    def test_stalled_peer_does_not_delay_another(self):
+        transport, listener, ep = serve_tcp()
+        try:
+            with socket.create_connection(ep.key, timeout=5) as stalled:
+                stalled.sendall(wire.encode_frame(Frame(FrameKind.ACK))[:5])
+                start = time.monotonic()
+                receipt = transport.send_frame(ep, Frame(FrameKind.ACK), TransportOpts(connect_timeout_s=2.0))
+                assert receipt.ok and time.monotonic() - start < 1.0
+        finally:
+            listener.close()
+            transport.close()
+
+    def test_peer_closing_mid_frame_is_dropped_quietly(self, monkeypatch):
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        transport, listener, ep = serve_tcp()
+        try:
+            with socket.create_connection(ep.key, timeout=5) as quitter:
+                quitter.sendall(wire.encode_frame(Frame(FrameKind.ACK))[:5])
+                assert wait_until(lambda: listener.open_connections == 1)
+            assert wait_until(lambda: listener.open_connections == 0)
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+        finally:
+            listener.close()
+            transport.close()
+        assert crashes == []
+
+    def test_many_concurrent_clients_one_listener_thread(self):
+        before = set(threading.enumerate())
+        handler_threads = set()
+
+        def handler(frame, source):
+            handler_threads.add(threading.current_thread())
+            return Frame(FrameKind.ACK)
+
+        transport, listener, ep = serve_tcp(handler)
+        clients = []
+        try:
+            # 24 connections, every frame written before any reply is read
+            for _ in range(24):
+                clients.append(socket.create_connection(ep.key, timeout=5))
+            for sock in clients:
+                sock.sendall(wire.encode_frame(Frame(FrameKind.AGENT_TRANSFER, b"hop")))
+            for sock in clients:
+                assert wire.decode_frame(read_frame_bytes(sock)).kind == FrameKind.ACK
+            assert listener.open_connections == 24
+            assert len(set(threading.enumerate()) - before) == 1
+            assert handler_threads == set(threading.enumerate()) - before
+        finally:
+            for sock in clients:
+                sock.close()
+            listener.close()
+        assert set(threading.enumerate()) - before == set()
+
+    def test_connection_beyond_the_cap_is_closed(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "MAX_CONNECTIONS", 2)
+        transport, listener, ep = serve_tcp()
+        clients = []
+        try:
+            for _ in range(3):
+                clients.append(socket.create_connection(ep.key, timeout=5))
+            frame = wire.encode_frame(Frame(FrameKind.ACK))
+            for sock in clients[:2]:
+                sock.sendall(frame)
+                assert wire.decode_frame(read_frame_bytes(sock)).kind == FrameKind.ACK
+            try:
+                clients[2].sendall(frame)
+                assert clients[2].recv(16) == b""
+            except ConnectionResetError:
+                pass
+            assert listener.open_connections == 2
+        finally:
+            for sock in clients:
+                sock.close()
+            listener.close()
+
+    def test_silent_connections_are_closed_so_a_full_table_frees_itself(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "MAX_CONNECTIONS", 3)
+        monkeypatch.setattr(transport_module, "CONN_TIMEOUT_S", 0.4)
+        transport, listener, ep = serve_tcp()
+        silent = [socket.create_connection(ep.key, timeout=5) for _ in range(3)]
+        try:
+            silent[0].sendall(wire.encode_frame(Frame(FrameKind.ACK))[:5])  # one stalls mid-frame
+            assert wait_until(lambda: listener.open_connections == 3)
+            with socket.create_connection(ep.key, timeout=5) as refused:
+                try:
+                    assert refused.recv(16) == b""  # the table is full
+                except ConnectionResetError:
+                    pass
+            assert wait_until(lambda: listener.open_connections == 0, timeout_s=3.0)
+            for sock in silent:
+                assert sock.recv(16) == b""  # closed by the listener
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+        finally:
+            for sock in silent:
+                sock.close()
+            listener.close()
+            transport.close()
+
+    def test_connection_idle_past_half_the_timeout_is_not_reused(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "CONN_TIMEOUT_S", 10.0)
+        sources = []
+
+        def handler(frame, source):
+            sources.append(source)
+            return Frame(FrameKind.ACK)
+
+        transport, listener, ep = serve_tcp(handler)
+        try:
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+            monkeypatch.setattr(transport_module, "CONN_TIMEOUT_S", 0.1)
+            time.sleep(0.1)  # the pooled connection is now idle for more than half the timeout
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+            assert sources[0] != sources[1]
+        finally:
+            listener.close()
+            transport.close()
+
+    def test_close_during_a_send_closes_that_connection_after_it(self):
+        transport = SocketTransport()
+        entered, release = threading.Event(), threading.Event()
+
+        def handler(frame, source):
+            entered.set()
+            release.wait(5)
+            return Frame(FrameKind.ACK)
+
+        listener = SocketTransport().serve(Endpoint(LOOP, 0, "tcp"), TransportOpts(), handler)
+        ep = Endpoint(LOOP, listener.endpoint_port, "tcp")
+        receipts = []
+        sender = threading.Thread(target=lambda: receipts.append(transport.send_frame(ep, Frame(FrameKind.ACK))))
+        try:
+            sender.start()
+            assert entered.wait(5)
+            transport.close()  # the send is in flight
+            release.set()
+            sender.join(5)
+            assert receipts[0].ok
+            assert transport._idle == {}
+            assert wait_until(lambda: listener.open_connections == 0)
+        finally:
+            release.set()
+            sender.join(5)
+            listener.close()

@@ -1,0 +1,172 @@
+"""Compare a parent commit with the working tree on the agentway benchmark, in pairs.
+
+    python3 tools/bench_pairs.py --parent HEAD --seeds 411-420 --out BENCH_3.json
+
+Run from the repository root. The parent commit is exported with ``git
+archive`` into a scratch directory (``--workdir``, a new temporary directory
+by default), so the benchmark runs from that commit's files alone; the change
+is the working tree as it stands. For every seed and every workload listed in
+``BENCHMARK.json``, one run of ``benchmark/run.py`` on each side, as long as
+the file's ``run_seconds``, makes a pair;
+the side that runs first alternates from seed to seed, so a drift in host
+speed does not favour either side. Both sides get identical arguments.
+
+The output file holds every run and, per workload and end-to-end metric, each
+side's median and quartiles, how many pairs the change won (ties count for
+neither side), whether the change shows a gain (it wins at least nine tenths
+of the pairs and its median beats the parent's by more than the distance
+between the parent's quartiles) and whether it is worse than the parent's
+median by more than the metric's bound. The exit code is 1 when a run failed
+or any metric is worse than its bound, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"301-310"`` or ``"1,5,9"`` (or a mix) as a list of seeds."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def export_commit(rev: str, dest: Path) -> str:
+    """Write the files of commit ``rev`` under ``dest``; return its full hash."""
+    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    dest.mkdir(parents=True, exist_ok=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return sha
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``checkout``: its exit code and its final JSON line."""
+    cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "metrics": {}, "stderr": proc.stderr[-2000:]}
+    return {"seed": seed, "exit_code": proc.returncode, **result}
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(metric: dict, parent_runs: list[dict], change_runs: list[dict]) -> dict:
+    """Both sides of one metric on one workload, run by run and summarised."""
+    name, lower_is_better = metric["name"], metric["better"] == "lower"
+    parent = [r["metrics"][name]["value"] for r in parent_runs]
+    change = [r["metrics"][name]["value"] for r in change_runs]
+    sign = -1.0 if lower_is_better else 1.0  # positive gain means better
+    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+    p, c = quartiles(parent), quartiles(change)
+    gain = sign * (c["median"] - p["median"])
+    return {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "bound": metric["bound"],
+        "parent": {**p, "runs": parent},
+        "change": {**c, "runs": change},
+        "pairs": len(parent),
+        "change_wins": wins,
+        "median_change_pct": 100.0 * (c["median"] - p["median"]) / p["median"],
+        "parent_iqr": p["q3"] - p["q1"],
+        "gain_shown": wins >= 0.9 * len(parent) and gain > p["q3"] - p["q1"],
+        "worse_than_bound": -gain > metric["bound"] * abs(p["median"]),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="commit to compare against, e.g. HEAD")
+    parser.add_argument("--seeds", required=True, help="e.g. 301-310")
+    parser.add_argument("--workdir", type=Path, help="where the parent's files go")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    parent_dir = workdir / "parent"
+    parent_sha = export_commit(args.parent, parent_dir)
+    sides = {"parent": parent_dir, "change": ROOT}
+    runs: dict[str, dict[str, list[dict]]] = {w: {"parent": [], "change": []} for w in workloads}
+
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for workload in workloads:
+            for side in order:
+                t0 = time.monotonic()
+                run = run_once(sides[side], workload, seed, seconds)
+                runs[workload][side].append({**run, "order": order.index(side)})
+                print(f"seed {seed} {workload:26s} {side:6s} exit {run['exit_code']} "
+                      f"({time.monotonic() - t0:.0f} s)", file=sys.stderr, flush=True)
+
+    failed = [
+        f"{w} {side} seed {r['seed']}"
+        for w, by_side in runs.items() for side, rs in by_side.items() for r in rs
+        if r["exit_code"] != 0 or not r.get("correct")
+    ]
+    summary = {}
+    if not failed:
+        for w, by_side in runs.items():
+            summary[w] = {m["name"]: compare(m, by_side["parent"], by_side["change"])
+                          for m in spec["end_to_end"]}
+    worse = [f"{w} {name}" for w, ms in summary.items() for name, m in ms.items() if m["worse_than_bound"]]
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    doc = {
+        "command": f"python3 tools/bench_pairs.py --parent {args.parent} --seeds {args.seeds} --out {args.out.name}",
+        "parent": parent_sha,
+        "change": f"working tree on {head}",
+        "seeds": seeds,
+        "seconds": seconds,
+        "host": {"cpus": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine()},
+        "failed_runs": failed,
+        "worse_than_bound": worse,
+        "summary": summary,
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    for w, ms in summary.items():
+        for name, m in ms.items():
+            print(f"{w:26s} {name:18s} parent {m['parent']['median']:12.4f} "
+                  f"change {m['change']['median']:12.4f} ({m['median_change_pct']:+6.1f}%) "
+                  f"wins {m['change_wins']}/{m['pairs']}"
+                  f"{'  GAIN' if m['gain_shown'] else ''}{'  WORSE' if m['worse_than_bound'] else ''}")
+    for line in failed:
+        print(f"failed run: {line}")
+    return 1 if failed or worse else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
