@@ -15,7 +15,7 @@ import logging
 import os
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,6 +27,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_CACHE_ENTRIES = 64
 DEFAULT_CACHE_BYTES = 16 * 1024 * 1024
+HOP_LOG_RECORDS = 1024  # records an agency's hop log keeps; the oldest goes first
 
 
 class AgencyError(Exception):
@@ -176,15 +177,23 @@ class AgentInstance:
     state: StateRecord
     behavior: Behavior
     hop_index: int
+    decode_ns: int = 0  # measured at admission, for the hop's record
 
 
-@dataclass
-class HopResult:
-    status: str  # "dispatched" | "completed" | "failed"
-    dispatched_to: Optional[Endpoint] = None
-    data: Optional[list] = None
+@dataclass(slots=True)
+class HopRecord:
+    """One hop an agency ran, or one launch (``hop_index`` -1), with the times
+    the agency measured on its own clock. A record is complete when it is
+    appended to ``Agency.hops``."""
+
+    agent_id: bytes
+    hop_index: int
+    status: str  # "launched" | "dispatched" | "completed" | "failed"
     error: Optional[str] = None
-    receipt: Optional[Receipt] = None
+    decode_ns: int = 0  # admission: the transfer frame to a state record
+    encode_ns: int = 0  # dispatch: the state record to a transfer frame
+    send_ns: int = 0  # the onward send: modeled link delay, or the timed exchange
+    send_bytes: int = 0
 
 
 def itinerary_endpoints(state: StateRecord, protocol: str) -> list[Endpoint]:
@@ -192,7 +201,12 @@ def itinerary_endpoints(state: StateRecord, protocol: str) -> list[Endpoint]:
 
 
 class Agency:
-    """One host's runtime: listener, code cache, behavior registry, completions."""
+    """One host's runtime: listener, code cache, behavior registry, completions.
+
+    ``hops`` is the hop log: one ``HopRecord`` per hop run here and per launch,
+    the newest ``HOP_LOG_RECORDS`` of them. Hops run on other threads in
+    real-socket mode, so read it there through a copy, ``list(agency.hops)``.
+    """
 
     def __init__(
         self,
@@ -203,7 +217,6 @@ class Agency:
         cache_capacity: int = DEFAULT_CACHE_ENTRIES,
         cache_byte_limit: int = DEFAULT_CACHE_BYTES,
         topology=None,
-        report_timings: bool = False,
     ) -> None:
         self.host_name = host_name
         self.bind = bind
@@ -211,20 +224,20 @@ class Agency:
         self.opts = opts or TransportOpts(protocol=bind.protocol)
         self.cache = CodeCache(cache_capacity, cache_byte_limit)
         self.topology = topology
-        self.report_timings = report_timings
         self.agency_id = os.urandom(8).hex()
         self._behaviors: dict[str, Behavior] = {}
         self._lock = threading.Lock()
         self.completions: dict[bytes, dict] = {}
         self.failures: dict[bytes, str] = {}
-        self.timing_reports: dict[bytes, wire.TimingReportPayload] = {}
-        self.phase_log: dict[bytes, dict] = {}
+        self.hops: deque[HopRecord] = deque(maxlen=HOP_LOG_RECORDS)
         self._listener = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         self._listener = self.transport.serve(self.bind, self.opts, self.handle_frame)
+        if self.bind.port == 0:  # itineraries must name the port the system picked
+            self.bind = Endpoint(self.bind.address, self._listener.endpoint_port, self.bind.protocol)
 
     def stop(self) -> None:
         if self._listener is not None:
@@ -255,11 +268,6 @@ class Agency:
             return self._handle_forward_request(frame)
         if frame.kind == FrameKind.AGENT_TRANSFER:
             return self._handle_transfer(frame)
-        if frame.kind == FrameKind.TIMING_REPORT:
-            report = wire.TimingReportPayload.decode(frame.payload)
-            with self._lock:
-                self.timing_reports[report.agent_id] = report
-            return Frame(FrameKind.ACK)
         if frame.kind == FrameKind.ERROR:
             err = wire.ErrorPayload.decode(frame.payload)
             with self._lock:
@@ -377,13 +385,12 @@ class Agency:
             raise AdmissionError(wire.ERR_SCHEMA_MISMATCH, str(exc))
         except wire.WireError as exc:
             raise AdmissionError(wire.ERR_DECODE_FAILED, str(exc))
-        if self.report_timings:
-            decode_ns = time.perf_counter_ns() - t0
-            with self._lock:
-                self.phase_log.setdefault(payload.agent_id, {})["decode_ns"] = decode_ns
-        return AgentInstance(payload.agent_id, state, behavior, payload.hop_index)
+        return AgentInstance(
+            payload.agent_id, state, behavior, payload.hop_index, time.perf_counter_ns() - t0
+        )
 
-    def run_hop(self, instance: AgentInstance) -> HopResult:
+    def run_hop(self, instance: AgentInstance) -> HopRecord:
+        hop = HopRecord(instance.agent_id, instance.hop_index, "failed", decode_ns=instance.decode_ns)
         ctx = self.context()
         try:
             itinerary = itinerary_endpoints(instance.state, self.opts.protocol)
@@ -391,16 +398,15 @@ class Agency:
         except Exception as exc:  # the origin is the itinerary's last stop: it cannot be told
             message = f"bad itinerary: {exc!r}"
             log.warning("agent %s hop %d: %s", instance.agent_id.hex(), instance.hop_index, message)
-            with self._lock:
-                self.failures.setdefault(instance.agent_id, message)
-            return HopResult("failed", error=message)
+            return self._fail(hop, message)
         try:
             instance.behavior.on_arrival(instance.state, ctx)
             instance.behavior.task(instance.state, ctx)
         except Exception as exc:
-            self._report_failure(origin, instance, str(exc))
-            return HopResult("failed", error=str(exc))
+            return self._fail(hop, str(exc), origin)
         if instance.hop_index >= len(itinerary) - 1:
+            hop.status = "completed"
+            self.hops.append(hop)  # before the completion, which is what callers wait on
             data = instance.state.values.get("data")
             with self._lock:
                 self.completions[instance.agent_id] = {
@@ -408,40 +414,20 @@ class Agency:
                     "state": instance.state,
                     "completed_ns": time.perf_counter_ns(),
                 }
-            return HopResult("completed", data=list(data) if data is not None else [])
+            return hop
         dest = itinerary[instance.hop_index + 1]
         try:
-            receipt, encode_ns = self.dispatch(instance, dest)
+            receipt, hop.encode_ns = self.dispatch(instance, dest)
         except Exception as exc:
-            self._report_failure(origin, instance, f"dispatch failed: {exc}")
-            return HopResult("failed", error=str(exc))
+            return self._fail(hop, f"dispatch failed: {exc}", origin)
+        hop.send_ns, hop.send_bytes = int(receipt.send_duration_s * 1e9), receipt.bytes_on_wire
         if not receipt.ok:
-            self._report_failure(
-                origin, instance,
-                f"hop refused with code {receipt.error_code}: {receipt.error_message}",
+            return self._fail(
+                hop, f"hop refused with code {receipt.error_code}: {receipt.error_message}", origin
             )
-            return HopResult("failed", error=receipt.error_message, receipt=receipt)
-        if self.report_timings:
-            with self._lock:
-                decode_ns = self.phase_log.get(instance.agent_id, {}).get("decode_ns", 0)
-            report = wire.TimingReportPayload(
-                instance.agent_id,
-                decode_ns=decode_ns,
-                encode_ns=encode_ns,
-                transfer_ns=int(receipt.send_duration_s * 1e9),
-            )
-            def ship_report() -> None:
-                try:
-                    self.transport.send_frame(
-                        origin, Frame(FrameKind.TIMING_REPORT, report.encode()), self.opts
-                    )
-                except Exception as exc:  # instrumentation only; never fails the hop
-                    log.warning("agent %s hop %d: timing report to %s not sent: %r",
-                                instance.agent_id.hex(), instance.hop_index, origin, exc)
-
-            # deferred so the report lands outside the timed round-trip window
-            self.transport.defer(ship_report)
-        return HopResult("dispatched", dispatched_to=dest, receipt=receipt)
+        hop.status = "dispatched"
+        self.hops.append(hop)
+        return hop
 
     def dispatch(self, instance: AgentInstance, dest: Endpoint) -> tuple[Receipt, int]:
         """Re-encode the agent's state and send it to the next itinerary stop."""
@@ -463,21 +449,22 @@ class Agency:
         receipt = self.transport.send_frame(dest, frame, self.opts, link=link)
         return receipt, encode_ns
 
-    def _report_failure(self, origin: Endpoint, instance: AgentInstance, message: str) -> None:
-        agent_id = instance.agent_id
+    def _fail(self, hop: HopRecord, message: str, origin: Optional[Endpoint] = None) -> HopRecord:
+        """Record a failed hop here, in ``failures`` and the hop log, and tell the
+        origin unless it is this agency or unknown."""
+        hop.error = message
         with self._lock:
-            self.failures.setdefault(agent_id, message)
-        if origin.key == self.bind.key:
-            return
+            self.failures.setdefault(hop.agent_id, message)
+        self.hops.append(hop)
+        if origin is None or origin.key == self.bind.key:
+            return hop
+        report = wire.ErrorPayload(wire.ERR_INTERNAL, message, hop.agent_id)
         try:
-            self.transport.send_frame(
-                origin,
-                Frame(FrameKind.ERROR, wire.ErrorPayload(wire.ERR_INTERNAL, message, agent_id).encode()),
-                self.opts,
-            )
+            self.transport.send_frame(origin, Frame(FrameKind.ERROR, report.encode()), self.opts)
         except Exception as exc:  # the failure stays recorded here
             log.warning("agent %s hop %d: failure report to %s not sent (%s): %r",
-                        agent_id.hex(), instance.hop_index, origin, message, exc)
+                        hop.agent_id.hex(), hop.hop_index, origin, message, exc)
+        return hop
 
     # -- launching -----------------------------------------------------------
 
@@ -502,15 +489,15 @@ class Agency:
         agent_id = agent_id or os.urandom(16)
         instance = AgentInstance(agent_id, record, self._require_behavior(record.kind_name), -1)
         receipt, encode_ns = self.dispatch(instance, itinerary[0])
-        if not receipt.ok:
-            raise AgencyError(
-                f"launch refused with code {receipt.error_code}: {receipt.error_message}"
-            )
-        if self.report_timings:
-            with self._lock:
-                self.phase_log.setdefault(agent_id, {}).update(
-                    launch_encode_ns=encode_ns, launch_transfer_ns=int(receipt.send_duration_s * 1e9)
-                )
+        error = None if receipt.ok else (
+            f"launch refused with code {receipt.error_code}: {receipt.error_message}"
+        )
+        self.hops.append(HopRecord(
+            agent_id, -1, "failed" if error else "launched", error, encode_ns=encode_ns,
+            send_ns=int(receipt.send_duration_s * 1e9), send_bytes=receipt.bytes_on_wire,
+        ))
+        if error:
+            raise AgencyError(error)
         return agent_id
 
     def probe_code(self, endpoint: Endpoint, kind_name: str, digest: bytes) -> bool:

@@ -2,10 +2,15 @@
 state-size experiments, and the compression crossover analysis.
 
 All durations come from monotonic clocks; wall clocks never enter any
-measurement. Modeled mode computes both transfer phases exactly from the
-link parameters, so its reports are bit-reproducible; real-socket mode can
-only report the two transfer legs as one combined figure (splitting them
-would need cross-host clock sync).
+measurement. The ping-pong phases are read from the hop logs of the two
+agencies (``Agency.hops``), the records an operator reads: A's launch record
+gives A's serialize and the A→B transfer, B's hop record B's deserialize,
+serialize and the B→A transfer, and A's completing hop A's deserialize. Both
+agencies live in this process, so B's record needs no frame to reach the
+bench. Modeled mode computes both transfer phases exactly from the link
+parameters, so its reports are bit-reproducible; real-socket mode can only
+report the two transfer legs as one combined figure (splitting them would
+need cross-host clock sync).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import wire
-from .agency import Agency, CodeImage, pingpong_behavior
+from .agency import Agency, CodeImage, HopRecord, pingpong_behavior
 from .transport import (
     Endpoint,
     InProcNetwork,
@@ -230,15 +235,10 @@ def _make_pingpong_pair(config: RunConfig):
         b_ep = Endpoint("127.0.0.1", 0, config.opts.protocol)
         t_a = SocketTransport()
         t_b = SocketTransport()
-    agency_a = Agency("host_a", a_ep, t_a, config.opts, report_timings=True)
-    agency_b = Agency("host_b", b_ep, t_b, config.opts, report_timings=True)
-    agency_a.start()
+    agency_a = Agency("host_a", a_ep, t_a, config.opts)
+    agency_b = Agency("host_b", b_ep, t_b, config.opts)
+    agency_a.start()  # an agency bound to port 0 takes the picked port into its bind
     agency_b.start()
-    if config.mode == "real":  # pick up the kernel-assigned ports
-        a_ep = Endpoint("127.0.0.1", agency_a._listener.endpoint_port, config.opts.protocol)
-        b_ep = Endpoint("127.0.0.1", agency_b._listener.endpoint_port, config.opts.protocol)
-        agency_a.bind = a_ep
-        agency_b.bind = b_ep
     kind = template.kind_name
     image = CodeImage.from_code(kind, b"\x00" * 256)
     for agency in (agency_a, agency_b):
@@ -249,7 +249,7 @@ def _make_pingpong_pair(config: RunConfig):
         agency_a.stop()
         agency_b.stop()
 
-    return agency_a, agency_b, template, [b_ep, a_ep], teardown
+    return agency_a, agency_b, template, [agency_b.bind, agency_a.bind], teardown
 
 
 def run_pingpong(config: RunConfig) -> list[PhaseTimings]:
@@ -287,37 +287,24 @@ def _one_roundtrip(
     agency_a.launch(record, itinerary, agent_id=agent_id)
     if config.mode == "modeled":
         agency_a.transport.network.run()
-        done = agent_id in agency_a.completions
-    else:
+    else:  # B logs its hop once A has acknowledged it, which may be after A completes
         deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            with agency_a._lock:
-                done = agent_id in agency_a.completions and agent_id in agency_a.timing_reports
-            if done:
-                break
+        while time.monotonic() < deadline and not (
+            agent_id in agency_a.completions and _hop(agency_b, agent_id, 0)
+        ):
             time.sleep(0.0002)
-    if not done or agent_id in agency_a.failures or agent_id in agency_b.failures:
+    completion = agency_a.completions.pop(agent_id, None)
+    there = _hop(agency_b, agent_id, 0)
+    failed = agent_id in agency_a.failures or agent_id in agency_b.failures
+    if completion is None or there is None or failed:
         raise BenchError(
             f"round trip failed: {agency_a.failures.get(agent_id) or agency_b.failures.get(agent_id)}"
         )
-    completion = agency_a.completions.pop(agent_id)
     elapsed = completion["completed_ns"] - start
-
-    a_log = agency_a.phase_log.pop(agent_id, {})
-    report = agency_a.timing_reports.pop(agent_id, None)
-    if report is None:
-        report = agency_b.timing_reports.pop(agent_id, None)
-    if report is None:
-        raise BenchError("no timing report from the remote agency")
-    agency_b.phase_log.pop(agent_id, None)
-
-    p2 = a_log.get("launch_encode_ns", 0)
-    p4 = report.decode_ns
-    p5 = report.encode_ns
-    p7 = a_log.get("decode_ns", 0)
+    launch, back = _hop(agency_a, agent_id, -1), _hop(agency_a, agent_id, 1)
+    p2, p4, p5, p7 = launch.encode_ns, there.decode_ns, there.encode_ns, back.decode_ns
     if config.mode == "modeled":
-        p3 = a_log.get("launch_transfer_ns", 0)
-        p6 = report.transfer_ns
+        p3, p6 = launch.send_ns, there.send_ns
         total = elapsed + p3 + p6  # modeled delays are computed, not slept
         return PhaseTimings(
             p1 if pre_created is None else 0, p2, p3, p4, p5, p6, p7, total
@@ -326,6 +313,15 @@ def _one_roundtrip(
     local = p1 + p2 + p4 + p5 + p7
     combined = max(0, elapsed - local)
     return PhaseTimings(p1, p2, combined, p4, p5, 0, p7, elapsed, transfer_split=False)
+
+
+def _hop(agency: Agency, agent_id: bytes, hop_index: int) -> Optional[HopRecord]:
+    """The agency's newest record of the agent's hop, searched in a copy of its
+    log since real-socket hops append to it from other threads."""
+    for hop in reversed(list(agency.hops)):
+        if hop.agent_id == agent_id and hop.hop_index == hop_index:
+            return hop
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -208,11 +208,14 @@ class _Transport:
         opts: Optional[TransportOpts] = None,
         link: Optional[Link] = None,
     ) -> Receipt:
-        """Encode once, refuse an oversize datagram before any side effect,
+        """Encode once, refuse an oversize frame or datagram before any side effect,
         exchange, count the frame once, and turn the reply into a Receipt."""
         data = wire.encode_frame(frame)
-        if endpoint.protocol == "udp" and len(data) > UDP_MAX_PAYLOAD:
-            raise OversizeError(f"frame of {len(data)} bytes exceeds one UDP datagram")
+        limit = UDP_MAX_PAYLOAD if endpoint.protocol == "udp" else MAX_FRAME_BYTES
+        if len(data) > limit:
+            raise OversizeError(
+                f"frame of {len(data)} bytes exceeds the {endpoint.protocol} limit of {limit}"
+            )
         reply_bytes, duration_s = self._exchange(endpoint, data, opts, link)
         self.stats.record(endpoint.key, link, frame, len(data))
         return _reply_to_receipt(wire.decode_frame(reply_bytes), len(data), duration_s)
@@ -290,6 +293,7 @@ class _InProcListener:
     def __init__(self, network: InProcNetwork, key: tuple[str, int]) -> None:
         self._network = network
         self._key = key
+        self.endpoint_port = key[1]
 
     def close(self) -> None:
         self._network.unregister(self._key)
@@ -335,6 +339,7 @@ class ModeledTransport(_Transport):
 
 MAX_IDLE_PER_PEER = 4  # idle TCP connections a SocketTransport keeps per (peer, no_delay)
 MAX_CONNECTIONS = 64  # accepted TCP connections one listener serves at once
+MAX_FRAME_BYTES = 16 * 1024 * 1024  # longest TCP frame, envelope included, sent or read
 CONN_TIMEOUT_S = 30.0  # a served connection silent this long, idle or mid-frame, is closed
 # kinds whose handler sends frames itself (a relay forwarding code): never run on the listener thread
 _OFFLOADED_KINDS = frozenset({int(FrameKind.FORWARD_REQUEST)})
@@ -343,10 +348,14 @@ _RECV_BYTES = 65536
 
 
 def _frame_end(header: bytes | bytearray) -> int:
-    """Length of the whole frame that starts with this 12-byte header, magic checked."""
+    """Length of the whole frame that starts with this 12-byte header, magic and
+    ``MAX_FRAME_BYTES`` checked, so no peer makes a reader buffer more."""
     if header[:4] != wire.MAGIC:
         raise wire.WireError(f"bad magic {bytes(header[:4])!r}")
-    return _HEADER_BYTES + struct.unpack_from(">I", header, 8)[0] + 4  # + CRC
+    end = _HEADER_BYTES + struct.unpack_from(">I", header, 8)[0] + 4  # + CRC
+    if end > MAX_FRAME_BYTES:
+        raise wire.WireError(f"frame of {end} bytes exceeds the limit of {MAX_FRAME_BYTES}")
+    return end
 
 
 def _read_exactly(sock: socket.socket, n: int) -> bytes:
@@ -719,18 +728,20 @@ class SocketTransport(_Transport):
 
     def serve(self, bind: Endpoint, opts: TransportOpts, handler: Handler):
         family = socket.AF_INET6 if ":" in bind.address else socket.AF_INET
+        udp = bind.protocol == "udp"
+        sock = None
         try:
-            if bind.protocol == "udp":
-                sock = socket.socket(family, socket.SOCK_DGRAM)
-                sock.bind(bind.key)
-                return _UdpListener(sock, handler)
-            sock = socket.socket(family, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock = socket.socket(family, socket.SOCK_DGRAM if udp else socket.SOCK_STREAM)
+            if not udp:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             sock.bind(bind.key)
-            sock.listen(32)
-            return _TcpListener(sock, handler)
+            if not udp:
+                sock.listen(32)
         except OSError as exc:
+            if sock is not None:
+                sock.close()
             raise TransportError(f"cannot bind {bind}: {exc}") from exc
+        return _UdpListener(sock, handler) if udp else _TcpListener(sock, handler)
 
     def defer(self, fn: Callable[[], None]) -> None:
         threading.Thread(target=fn, daemon=True).start()

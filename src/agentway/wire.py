@@ -31,7 +31,7 @@ class FrameKind(IntEnum):
     AGENT_TRANSFER = 0x02
     ACK = 0x03
     ERROR = 0x04
-    TIMING_REPORT = 0x05
+    # 0x05 is retired (it carried per-hop timing reports): never reuse it
     FORWARD_REQUEST = 0x06
 
 
@@ -497,28 +497,6 @@ class ErrorPayload:
         agent_id = r.take(AGENT_ID_LEN)
         message = r.utf8(r.u16())
         return cls(code=code, message=message, agent_id=agent_id)
-
-
-@dataclass(frozen=True)
-class TimingReportPayload:
-    """Remote-side phase durations shipped back after a hop (nanoseconds)."""
-
-    agent_id: bytes
-    decode_ns: int
-    encode_ns: int
-    transfer_ns: int  # modeled onward-transfer delay; 0 in real-socket mode
-
-    def encode(self) -> bytes:
-        return self.agent_id + struct.pack(
-            ">QQQ", self.decode_ns, self.encode_ns, self.transfer_ns
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "TimingReportPayload":
-        r = _Reader(data)
-        agent_id = r.take(AGENT_ID_LEN)
-        decode_ns, encode_ns, transfer_ns = struct.unpack(">QQQ", r.take(24))
-        return cls(agent_id, decode_ns, encode_ns, transfer_ns)
 
 
 @dataclass(frozen=True)

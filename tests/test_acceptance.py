@@ -379,7 +379,7 @@ def test_11_push_only_admission():
         receipt = cluster.agency(0).transport.send_frame(target, transfer, cluster.opts)
         assert not receipt.ok and receipt.error_code == wire.ERR_CODE_MISSING
         # the refusal left no trace: nothing admitted, decoded, or executed
-        assert receiver.phase_log == {} and receiver.completions == {}
+        assert not receiver.hops and receiver.completions == {}
 
         push = Frame(
             FrameKind.CODE_PUSH,

@@ -1,11 +1,14 @@
 import hashlib
 import random
 import socket
+import struct
 import threading
 import time
+import zlib
 
 import pytest
 
+from agentway import agency as agency_module
 from agentway import wire
 from agentway.agency import (
     Agency,
@@ -254,6 +257,19 @@ class TestHops:
             cluster.network.run()
             done = origin.completions[agent_id]
             assert done["data"] == ["h1", "h0"]
+            # each agency logged what it ran, with the times it measured itself
+            launch, back = origin.hops
+            (there,) = cluster.agency(1).hops
+            assert [(h.agent_id, h.hop_index, h.status, h.error) for h in (launch, there, back)] == [
+                (agent_id, -1, "launched", None),
+                (agent_id, 0, "dispatched", None),
+                (agent_id, 1, "completed", None),
+            ]
+            assert launch.decode_ns == 0 and launch.encode_ns > 0
+            assert there.decode_ns > 0 and there.encode_ns > 0 and back.decode_ns > 0
+            assert launch.send_bytes == origin.transport.link_stats(cluster.endpoints[1]).bytes_sent
+            assert there.send_bytes > launch.send_bytes  # the collector added "h1"
+            assert back.send_bytes == back.send_ns == 0  # nothing sent on
         finally:
             cluster.stop()
 
@@ -337,6 +353,10 @@ class TestHops:
             cluster.network.run()
             assert agent_id not in cluster.agency(0).completions
             assert "kaboom" in cluster.agency(0).failures[agent_id]
+            (failed,) = cluster.agency(1).hops
+            assert (failed.agent_id, failed.hop_index, failed.status, failed.error) == (
+                agent_id, 0, "failed", "kaboom"
+            )
         finally:
             cluster.stop()
 
@@ -348,6 +368,7 @@ class TestHops:
             instance = agency_b.admit_agent(transfer_frame(record, img, agent_id=b"\x0b" * 16))
             result = agency_b.run_hop(instance)
             assert result.status == "failed" and "bad itinerary" in result.error
+            assert agency_b.hops[-1] is result
             assert "bad itinerary" in agency_b.failures[b"\x0b" * 16]
             assert ("0b" * 16) in caplog.text
             # delivered over the network, the deferred hop fails the same way instead of raising
@@ -373,15 +394,35 @@ class TestHops:
         finally:
             cluster.stop()
 
-    def test_phase_log_stays_empty_without_timing_reports(self):
+    def test_hop_log_keeps_the_newest_records(self, monkeypatch):
+        cap = 8
+        monkeypatch.setattr(agency_module, "HOP_LOG_RECORDS", cap)
         cluster, record, img = make_cluster(behavior="pingpong")
         try:
             origin = cluster.agency(0)
-            for _ in range(200):
+            for _ in range(cap + 50):
                 agent_id = origin.launch(record.copy(), [cluster.endpoints[1], cluster.endpoints[0]])
                 cluster.network.run()
                 assert origin.completions.pop(agent_id)
-            assert origin.phase_log == {} and cluster.agency(1).phase_log == {}
+            assert len(origin.hops) == len(cluster.agency(1).hops) == cap
+            assert (origin.hops[-1].agent_id, origin.hops[-1].status) == (agent_id, "completed")
+        finally:
+            cluster.stop()
+
+    def test_retired_timing_report_kind_is_refused_and_leaves_nothing(self):
+        cluster, record, img = make_cluster()
+        try:
+            payload = b"\x05" * 16 + struct.pack(">QQQ", 1, 2, 3)  # the retired kind's payload
+            header = wire.MAGIC + bytes([wire.VERSION, 0x05, 0, 0]) + struct.pack(">I", len(payload))
+            data = header + payload + struct.pack(">I", zlib.crc32(header + payload))
+            for _ in range(100):
+                reply = wire.decode_frame(
+                    cluster.network.deliver(cluster.endpoints[1].key, data, cluster.endpoints[0].key)
+                )
+                assert reply.kind == FrameKind.ERROR
+                assert wire.ErrorPayload.decode(reply.payload).code == wire.ERR_BAD_FRAME
+            receiver = cluster.agency(1)
+            assert not receiver.hops and receiver.failures == {} and receiver.completions == {}
         finally:
             cluster.stop()
 

@@ -87,11 +87,7 @@ def serve_agency(tmp_path, name, port=0, behaviors=None):
     }
     agency = _build_agency(config, argparse.Namespace())
     agency.start()
-    from agentway.transport import Endpoint
-
-    bound = Endpoint("127.0.0.1", agency._listener.endpoint_port, "tcp")
-    agency.bind = bound
-    return agency, bound
+    return agency, agency.bind
 
 
 class TestEndToEnd:
@@ -122,7 +118,7 @@ class TestEndToEnd:
         code_file.write_bytes(b"\xfa\xce" * 100)
         b.install_code(CodeImage.from_code("MAExample", code_file.read_bytes()))
         origin_config = write_json(tmp_path / "origin.json", {
-            "bind": "127.0.0.1:39451",
+            "bind": "127.0.0.1:0",
             "behaviors": [{"kind": "MAExample", "behavior": "collector"}],
         })
         try:
@@ -139,7 +135,7 @@ class TestEndToEnd:
         code_file = tmp_path / "agent.bin"
         code_file.write_bytes(b"\x01\x02\x03")
         origin_config = write_json(tmp_path / "origin.json", {
-            "bind": "127.0.0.1:39452",
+            "bind": "127.0.0.1:0",
             "behaviors": [{"kind": "MAExample", "behavior": "collector"}],
         })
         try:

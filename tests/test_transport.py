@@ -1,6 +1,9 @@
+import gc
 import socket
+import struct
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -100,6 +103,18 @@ class TestModeledTransport:
             t.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"x" * 70000))
         assert t.link_stats(ep).frames_sent == 0
 
+    def test_tcp_frame_over_the_cap_rejected_without_side_effects(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "MAX_FRAME_BYTES", 1000)
+        net = InProcNetwork()
+        ep = Endpoint("10.0.0.2", 1, "tcp")
+        t = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"))
+        seen = []
+        t.serve(ep, TransportOpts(), lambda f, s: (seen.append(f), Frame(FrameKind.ACK))[1])
+        assert t.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"x" * (1000 - 16))).ok
+        with pytest.raises(OversizeError):
+            t.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"x" * (1001 - 16)))
+        assert len(seen) == t.link_stats(ep).frames_sent == 1
+
     def test_no_listener_is_connection_refused(self):
         t = ModeledTransport(InProcNetwork(), Endpoint("10.0.0.1", 1, "tcp"))
         with pytest.raises(TransportError, match="refused"):
@@ -160,6 +175,41 @@ class TestTcpSockets:
             sent = Frame(FrameKind.AGENT_TRANSFER, b"hello state")
             assert transport.send_frame(ep, sent).ok
             assert seen == [sent]
+        finally:
+            listener.close()
+            transport.close()
+
+    def test_header_over_the_frame_cap_gets_error_reply_and_close(self):
+        header = wire.MAGIC + bytes([wire.VERSION, FrameKind.AGENT_TRANSFER, 0, 0])
+        header += struct.pack(">I", 0x7FFFFFFF)  # a payload length far over MAX_FRAME_BYTES
+        transport, listener, ep = serve_tcp()
+        try:
+            with socket.create_connection(ep.key, timeout=5) as sock:
+                sock.sendall(header)
+                reply = wire.decode_frame(read_frame_bytes(sock))
+                assert sock.recv(1) == b""  # closed: the stream cannot be resynchronised
+            assert reply.kind == FrameKind.ERROR
+            assert wire.ErrorPayload.decode(reply.payload).code == wire.ERR_BAD_FRAME
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+        finally:
+            listener.close()
+            transport.close()
+        # a client refuses such a reply header the same way, before reading on
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            theirs.sendall(header)
+            with pytest.raises(wire.WireError, match="exceeds"):
+                read_frame_bytes(ours)
+
+    def test_serving_a_taken_port_closes_the_socket_it_made(self):
+        transport, listener, ep = serve_tcp()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(TransportError, match="cannot bind"):
+                    transport.serve(ep, TransportOpts(), ack_handler)
+                gc.collect()
+            assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
         finally:
             listener.close()
             transport.close()

@@ -271,10 +271,6 @@ class TestPayloadCodecs:
         p = wire.ErrorPayload(wire.ERR_CODE_MISSING, "no code", b"\x04" * 16)
         assert wire.ErrorPayload.decode(p.encode()) == p
 
-    def test_timing_report_roundtrip(self):
-        p = wire.TimingReportPayload(b"\x05" * 16, 123, 456, 789)
-        assert wire.TimingReportPayload.decode(p.encode()) == p
-
     def test_forward_request_roundtrip(self):
         p = wire.ForwardRequestPayload(
             "MA", b"\x06" * 32,
