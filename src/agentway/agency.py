@@ -206,6 +206,8 @@ class Agency:
     ``hops`` is the hop log: one ``HopRecord`` per hop run here and per launch,
     the newest ``HOP_LOG_RECORDS`` of them. Hops run on other threads in
     real-socket mode, so read it there through a copy, ``list(agency.hops)``.
+    ``failures`` maps an agent id to why it failed, here or as an ``ERROR``
+    frame reported; it too keeps the newest ``HOP_LOG_RECORDS``.
     """
 
     def __init__(
@@ -270,8 +272,11 @@ class Agency:
             return self._handle_transfer(frame)
         if frame.kind == FrameKind.ERROR:
             err = wire.ErrorPayload.decode(frame.payload)
+            log.warning("agent %s: failure reported by %s: %s",
+                        err.agent_id.hex(), source, err.message)
             with self._lock:
                 self.failures[err.agent_id] = err.message
+                self._bound_failures()
             return Frame(FrameKind.ACK)
         return Frame(
             FrameKind.ERROR,
@@ -455,6 +460,7 @@ class Agency:
         hop.error = message
         with self._lock:
             self.failures.setdefault(hop.agent_id, message)
+            self._bound_failures()
         self.hops.append(hop)
         if origin is None or origin.key == self.bind.key:
             return hop
@@ -465,6 +471,11 @@ class Agency:
             log.warning("agent %s hop %d: failure report to %s not sent (%s): %r",
                         hop.agent_id.hex(), hop.hop_index, origin, message, exc)
         return hop
+
+    def _bound_failures(self) -> None:
+        """Keep the newest ``HOP_LOG_RECORDS`` failures; the caller holds ``_lock``."""
+        while len(self.failures) > HOP_LOG_RECORDS:
+            del self.failures[next(iter(self.failures))]
 
     # -- launching -----------------------------------------------------------
 

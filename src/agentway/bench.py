@@ -64,14 +64,6 @@ PAPER_REFERENCE = {
     },
 }
 
-JAVA_TABLE1_ROWS = [
-    ("Use a java.util.Vector structure instead of String[]", 32, 5),
-    ("Use java.lang.Integer object instead of int", 19, 10),
-    ("Use 20 characters string instead of 3 characters string", 17, 15),
-    ("Include an additional 10 characters-long non-transient String variable", 47, 23),
-    ("Include an additional non-transient int variable", 17, 10),
-]
-
 
 class BenchError(Exception):
     pass
@@ -90,7 +82,7 @@ class FieldSpec:
     value: object = None
 
     def descriptor(self) -> FieldDescriptor:
-        tag = wire._TYPE_BY_NAME.get(self.type)
+        tag = wire.TAG_BY_NAME.get(self.type)
         if tag is None:
             raise BenchError(f"unknown field type {self.type!r}")
         return FieldDescriptor(self.name, tag, transient=self.transient)
@@ -98,16 +90,12 @@ class FieldSpec:
     def make_value(self) -> object:
         if self.value is not None:
             return self.value
-        tag = wire._TYPE_BY_NAME[self.type]
-        if tag == TypeTag.STRING:
+        descriptor = self.descriptor()
+        if descriptor.tag == TypeTag.STRING:
             return _pattern_text(self.size)
-        if tag == TypeTag.BYTES:
+        if descriptor.tag == TypeTag.BYTES:
             return _pattern_text(self.size).encode("ascii")
-        if tag == TypeTag.STRING_ARRAY:
-            return []
-        if tag == TypeTag.INT32_ARRAY:
-            return []
-        return {TypeTag.BOOL: False, TypeTag.INT32: 0, TypeTag.INT64: 0, TypeTag.FLOAT64: 0.0}[tag]
+        return wire.field_default(descriptor)
 
 
 def _pattern_text(n: int) -> str:
@@ -540,8 +528,10 @@ def measure_serdes_cost(
             wire.decode_state(img, schema)
         return time.perf_counter_ns() - t0
 
-    plain = [cycle(False) for _ in range(reps)]
-    gz = [cycle(True) for _ in range(reps)]
+    plain, gz = [], []
+    for _ in range(reps):  # alternated, so a change in host speed hits both pipelines alike
+        plain.append(cycle(False))
+        gz.append(cycle(True))
     return SerdesCost(
         description=description,
         uncompressed_frame_bytes=_frame_bytes_for_state(encoded),

@@ -114,13 +114,13 @@ def _opts_from(doc: dict, args: argparse.Namespace) -> TransportOpts:
 def _build_agency(config: dict, args: argparse.Namespace) -> Agency:
     opts = _opts_from(config, args)
     bind = parse_endpoint(config["bind"], opts.protocol)
+    cache_limits = {k: config[k] for k in ("cache_capacity", "cache_byte_limit") if k in config}
     agency = Agency(
         host_name=config.get("host_name", str(bind)),
         bind=bind,
         transport=SocketTransport(),
         opts=opts,
-        cache_capacity=config.get("cache_capacity", 64),
-        cache_byte_limit=config.get("cache_byte_limit", 16 * 1024 * 1024),
+        **cache_limits,
     )
     for entry in config.get("behaviors", []):
         kind = entry["kind"]
@@ -208,26 +208,21 @@ def cmd_launch(args) -> int:
 
 
 def _run_config_from(doc: dict, args) -> bench.RunConfig:
-    opts = _opts_from(doc, args)
-    link_doc = doc.get("link", {})
-    link = LinkModel(
-        bandwidth_bits_per_s=link_doc.get("bandwidth_bps", 10_000_000),
-        latency_s=link_doc.get("latency_s", 0.001),
-    )
-    state = None
+    """A run config from the keys the file sets; the rest keep ``RunConfig``'s defaults."""
+    settings = {k: doc[k] for k in ("repetitions", "mode", "pre_create", "warmup") if k in doc}
+    if getattr(args, "reps", None):
+        settings["repetitions"] = args.reps
     if "state" in doc:
         specs = [bench.FieldSpec(**entry) for entry in doc["state"]["fields"]]
-        state = bench.make_variant_record(specs)
-    reps = args.reps if getattr(args, "reps", None) else doc.get("repetitions", 100)
-    return bench.RunConfig(
-        repetitions=reps,
-        opts=opts,
-        state=state,
-        mode=doc.get("mode", "modeled"),
-        link=link,
-        pre_create=doc.get("pre_create", False),
-        warmup=doc.get("warmup", 5),
-    )
+        settings["state"] = bench.make_variant_record(specs)
+    config = bench.RunConfig(opts=_opts_from(doc, args), **settings)
+    if "link" in doc:
+        link = doc["link"]
+        config.link = LinkModel(
+            link.get("bandwidth_bps", config.link.bandwidth_bits_per_s),
+            link.get("latency_s", config.link.latency_s),
+        )
+    return config
 
 
 def cmd_bench_pingpong(args) -> int:

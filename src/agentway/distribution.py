@@ -264,6 +264,12 @@ def push_code(
         if edge.phase == 2:
             fanouts.setdefault(edge.source.key, []).append(edge)
 
+    def unreached(relay: Endpoint, why: str) -> None:
+        """Fail the hosts behind a relay that did not pass the code on."""
+        for e in fanouts.get(relay.key, []):
+            acks[e.target.key] = False
+            errors[e.target.key] = f"relay {relay} {why}"
+
     for edge in plan.edges:
         if edge.phase != 1:
             continue
@@ -273,10 +279,12 @@ def push_code(
         except Exception as exc:
             acks[edge.target.key] = False
             errors[edge.target.key] = str(exc)
+            unreached(edge.target, f"unreachable: {exc}")
             continue
         acks[edge.target.key] = receipt.ok
         if not receipt.ok:
             errors[edge.target.key] = f"code {receipt.error_code}: {receipt.error_message}"
+            unreached(edge.target, f"refused the code: {receipt.error_message}")
             continue
         relay_edges = fanouts.get(edge.target.key)
         if not relay_edges:
@@ -294,14 +302,10 @@ def push_code(
                 edge.target, Frame(FrameKind.FORWARD_REQUEST, req.encode()), opts, link=link
             )
         except Exception as exc:
-            for e in relay_edges:
-                acks[e.target.key] = False
-                errors[e.target.key] = f"relay unreachable: {exc}"
+            unreached(edge.target, f"unreachable: {exc}")
             continue
         if not fwd_receipt.ok:
-            for e in relay_edges:
-                acks[e.target.key] = False
-                errors[e.target.key] = f"relay refused: {fwd_receipt.error_message}"
+            unreached(edge.target, f"refused: {fwd_receipt.error_message}")
             continue
         for res in wire.decode_forward_results(fwd_receipt.reply.payload):
             acks[(res.address, res.port)] = res.ok

@@ -13,7 +13,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 MAGIC = b"MAMP"
 VERSION = 1
@@ -21,6 +21,9 @@ FRAME_OVERHEAD = 16  # magic(4) + version/kind/flags/reserved(4) + payload_len(4
 
 FLAG_COMPRESSED = 0x01
 FLAG_PROBE = 0x02  # AGENT_TRANSFER only: code-presence probe, no instantiation
+
+# a compressed payload inflates to at most this, the frame cap (transport.MAX_FRAME_BYTES)
+MAX_INFLATED_BYTES = 16 * 1024 * 1024
 
 DIGEST_LEN = 32
 AGENT_ID_LEN = 16
@@ -54,18 +57,6 @@ ERR_SCHEMA_MISMATCH = 4
 ERR_INTERNAL = 5
 ERR_BAD_FRAME = 6
 
-_TYPE_NAMES = {
-    TypeTag.BOOL: "bool",
-    TypeTag.INT32: "int32",
-    TypeTag.INT64: "int64",
-    TypeTag.FLOAT64: "float64",
-    TypeTag.STRING: "string",
-    TypeTag.STRING_ARRAY: "string[]",
-    TypeTag.BYTES: "bytes",
-    TypeTag.INT32_ARRAY: "int32[]",
-}
-_TYPE_BY_NAME = {v: k for k, v in _TYPE_NAMES.items()}
-
 
 class WireError(Exception):
     """Malformed or inconsistent wire data."""
@@ -82,6 +73,12 @@ class SchemaMismatchError(WireError):
 # ---------------------------------------------------------------------------
 # low-level readers/writers
 
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_I32 = struct.Struct(">i")
+_I64 = struct.Struct(">q")
+_F64 = struct.Struct(">d")
+
 
 class _Reader:
     def __init__(self, data: bytes) -> None:
@@ -97,14 +94,17 @@ class _Reader:
         self.pos += n
         return out
 
+    def unpack(self, fmt: struct.Struct) -> Any:
+        return fmt.unpack(self.take(fmt.size))[0]
+
     def u8(self) -> int:
         return self.take(1)[0]
 
     def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
+        return self.unpack(_U16)
 
     def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+        return self.unpack(_U32)
 
     def utf8(self, n: int) -> str:
         raw = self.take(n)
@@ -131,67 +131,59 @@ def _u8_str(s: str) -> bytes:
     return struct.pack(">B", len(raw)) + raw
 
 
+def _u32_prefixed(raw: bytes) -> bytes:
+    if len(raw) > 0xFFFFFFFF:
+        raise WireError(f"value too long for u32 prefix: {len(raw)} bytes")
+    return _U32.pack(len(raw)) + raw
+
+
+def _u16_count(items: list) -> bytes:
+    if len(items) > 0xFFFF:
+        raise WireError(f"array too long for u16 count: {len(items)} items")
+    return _U16.pack(len(items))
+
+
 # ---------------------------------------------------------------------------
-# field values
+# field types
 
 
-def encode_value(tag: TypeTag, value: Any) -> bytes:
-    if tag == TypeTag.BOOL:
-        return b"\x01" if value else b"\x00"
-    if tag == TypeTag.INT32:
-        return struct.pack(">i", value)
-    if tag == TypeTag.INT64:
-        return struct.pack(">q", value)
-    if tag == TypeTag.FLOAT64:
-        return struct.pack(">d", value)
-    if tag == TypeTag.STRING:
-        raw = value.encode("utf-8")
-        if len(raw) > 0xFFFFFFFF:
-            raise WireError("string too long")
-        return struct.pack(">I", len(raw)) + raw
-    if tag == TypeTag.STRING_ARRAY:
-        if len(value) > 0xFFFF:
-            raise WireError("string array too long")
-        out = [struct.pack(">H", len(value))]
-        for s in value:
-            raw = s.encode("utf-8")
-            out.append(struct.pack(">I", len(raw)) + raw)
-        return b"".join(out)
-    if tag == TypeTag.BYTES:
-        if len(value) > 0xFFFFFFFF:
-            raise WireError("byte array too long")
-        return struct.pack(">I", len(value)) + bytes(value)
-    if tag == TypeTag.INT32_ARRAY:
-        if len(value) > 0xFFFF:
-            raise WireError("int32 array too long")
-        return struct.pack(">H", len(value)) + b"".join(
-            struct.pack(">i", v) for v in value
-        )
-    raise WireError(f"unsupported type tag {tag!r}")
+@dataclass(frozen=True)
+class FieldType:
+    """What a type tag means: its name in schema files, zero value, encoder and decoder."""
+
+    name: str
+    zero: Any
+    encode: Callable[[Any], bytes]
+    decode: Callable[[_Reader], Any]
 
 
-def decode_value(tag: int, r: _Reader) -> Any:
-    if tag == TypeTag.BOOL:
-        return r.u8() != 0
-    if tag == TypeTag.INT32:
-        return struct.unpack(">i", r.take(4))[0]
-    if tag == TypeTag.INT64:
-        return struct.unpack(">q", r.take(8))[0]
-    if tag == TypeTag.FLOAT64:
-        return struct.unpack(">d", r.take(8))[0]
-    if tag == TypeTag.STRING:
-        return r.utf8(r.u32())
-    if tag == TypeTag.STRING_ARRAY:
-        return [r.utf8(r.u32()) for _ in range(r.u16())]
-    if tag == TypeTag.BYTES:
-        return r.take(r.u32())
-    if tag == TypeTag.INT32_ARRAY:
-        return [struct.unpack(">i", r.take(4))[0] for _ in range(r.u16())]
-    raise WireError(f"unknown type tag 0x{tag:02X}")
-
-
-def encoded_value_size(tag: TypeTag, value: Any) -> int:
-    return len(encode_value(tag, value))
+FIELD_TYPES: dict[TypeTag, FieldType] = {
+    TypeTag.BOOL: FieldType(
+        "bool", False, lambda v: b"\x01" if v else b"\x00", lambda r: r.u8() != 0
+    ),
+    TypeTag.INT32: FieldType("int32", 0, _I32.pack, lambda r: r.unpack(_I32)),
+    TypeTag.INT64: FieldType("int64", 0, _I64.pack, lambda r: r.unpack(_I64)),
+    TypeTag.FLOAT64: FieldType("float64", 0.0, _F64.pack, lambda r: r.unpack(_F64)),
+    TypeTag.STRING: FieldType(
+        "string", "", lambda v: _u32_prefixed(v.encode("utf-8")), lambda r: r.utf8(r.u32())
+    ),
+    TypeTag.STRING_ARRAY: FieldType(
+        "string[]",
+        [],
+        lambda v: _u16_count(v) + b"".join(_u32_prefixed(s.encode("utf-8")) for s in v),
+        lambda r: [r.utf8(r.u32()) for _ in range(r.u16())],
+    ),
+    TypeTag.BYTES: FieldType(
+        "bytes", b"", lambda v: _u32_prefixed(bytes(v)), lambda r: r.take(r.u32())
+    ),
+    TypeTag.INT32_ARRAY: FieldType(
+        "int32[]",
+        [],
+        lambda v: _u16_count(v) + b"".join(_I32.pack(n) for n in v),
+        lambda r: [r.unpack(_I32) for _ in range(r.u16())],
+    ),
+}
+TAG_BY_NAME = {t.name: tag for tag, t in FIELD_TYPES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +201,25 @@ class FieldDescriptor:
         raw = self.name.encode("utf-8")
         if not 1 <= len(raw) <= 255:
             raise WireError(f"field name must be 1-255 UTF-8 bytes: {self.name!r}")
+        if self.tag not in FIELD_TYPES:
+            raise WireError(f"unknown type tag {self.tag!r} for field {self.name!r}")
         if self.transient and self.default is None:
             # transient fields always carry a hard-coded default
-            object.__setattr__(self, "default", _zero_value(self.tag))
+            object.__setattr__(self, "default", field_default(self))
 
 
-def _zero_value(tag: TypeTag) -> Any:
-    return {
-        TypeTag.BOOL: False,
-        TypeTag.INT32: 0,
-        TypeTag.INT64: 0,
-        TypeTag.FLOAT64: 0.0,
-        TypeTag.STRING: "",
-        TypeTag.STRING_ARRAY: [],
-        TypeTag.BYTES: b"",
-        TypeTag.INT32_ARRAY: [],
-    }[tag]
+def field_default(f: FieldDescriptor) -> Any:
+    """The value a record starts with in field ``f``: a transient's declared
+    default, else its type's zero value.
+
+    Lists are copied, so no record shares one with the schema or another record.
+    """
+    value = f.default if f.transient and f.default is not None else FIELD_TYPES[f.tag].zero
+    return _own(value)
+
+
+def _own(value: Any) -> Any:
+    return list(value) if isinstance(value, list) else value
 
 
 def schema_hash(fields: Iterable[FieldDescriptor]) -> int:
@@ -240,7 +235,10 @@ def schema_hash(fields: Iterable[FieldDescriptor]) -> int:
 
 @dataclass
 class StateRecord:
-    """An agent's typed fields plus identity; the unit of serialization."""
+    """An agent's typed fields plus identity; the unit of serialization.
+
+    A field missing from ``values`` starts at ``field_default``.
+    """
 
     kind_name: str
     namespace: str = ""
@@ -252,7 +250,8 @@ class StateRecord:
         if len(set(names)) != len(names):
             raise WireError("duplicate field names in record")
         for f in self.fields:
-            self.values.setdefault(f.name, f.default if f.transient else _zero_value(f.tag))
+            if f.name not in self.values:
+                self.values[f.name] = field_default(f)
 
     def persistent_fields(self) -> list[FieldDescriptor]:
         return [f for f in self.fields if not f.transient]
@@ -273,30 +272,36 @@ class StateRecord:
             kind_name=self.kind_name,
             namespace=self.namespace,
             fields=list(self.fields),
-            values={k: (list(v) if isinstance(v, list) else v) for k, v in self.values.items()},
+            values={k: _own(v) for k, v in self.values.items()},
         )
 
 
-def encode_state(record: StateRecord) -> bytes:
-    """Serialize the persistent part of a record to its canonical bytes.
+def _state_layout(record: StateRecord) -> tuple[bytes, list[tuple[str, bytes]]]:
+    """The encoded header and each persistent field's encoding, in wire order.
 
-    Layout: kind_name (u16 len + bytes), namespace (u16 len + bytes),
-    schema_hash (u32), persistent field count (u16), then per field:
-    name (u8 len + bytes), type tag (u8), value encoding.
+    Header: kind_name (u16 len + bytes), namespace (u16 len + bytes),
+    schema_hash (u32), persistent field count (u16). Field: name (u8 len +
+    bytes), type tag (u8), value encoding.
     """
     persistent = record.persistent_fields()
     if len(persistent) > 0xFFFF:
         raise WireError("too many persistent fields")
-    out = bytearray()
-    out += _u16_str(record.kind_name)
-    out += _u16_str(record.namespace)
-    out += struct.pack(">I", record.schema_hash())
-    out += struct.pack(">H", len(persistent))
-    for f in persistent:
-        out += _u8_str(f.name)
-        out.append(int(f.tag))
-        out += encode_value(f.tag, record.values[f.name])
-    return bytes(out)
+    header = (
+        _u16_str(record.kind_name)
+        + _u16_str(record.namespace)
+        + _U32.pack(record.schema_hash())
+        + _U16.pack(len(persistent))
+    )
+    return header, [
+        (f.name, _u8_str(f.name) + bytes([f.tag]) + FIELD_TYPES[f.tag].encode(record.get(f.name)))
+        for f in persistent
+    ]
+
+
+def encode_state(record: StateRecord) -> bytes:
+    """Serialize the persistent part of a record to its canonical bytes."""
+    header, fields = _state_layout(record)
+    return header + b"".join(encoded for _, encoded in fields)
 
 
 def peek_kind_name(data: bytes) -> str:
@@ -325,16 +330,14 @@ def decode_state(data: bytes, schema: list[FieldDescriptor]) -> StateRecord:
     for f in persistent:
         name = r.utf8(r.u8())
         tag = r.u8()
-        if tag not in TypeTag._value2member_map_:
+        ftype = FIELD_TYPES.get(tag)
+        if ftype is None:
             raise WireError(f"unknown type tag 0x{tag:02X}")
-        if name != f.name or tag != int(f.tag):
+        if name != f.name or tag != f.tag:
             raise SchemaMismatchError(f"field {name!r}/0x{tag:02X} does not match schema")
-        values[name] = decode_value(tag, r)
+        values[name] = ftype.decode(r)
     if not r.done():
         raise WireError(f"{len(data) - r.pos} trailing bytes after state image")
-    for f in schema:
-        if f.transient:
-            values[f.name] = list(f.default) if isinstance(f.default, list) else f.default
     return StateRecord(kind_name=kind_name, namespace=namespace, fields=list(schema), values=values)
 
 
@@ -347,20 +350,9 @@ class SizeBreakdown:
 
 def measure_state(record: StateRecord) -> SizeBreakdown:
     """Exact byte accounting of the encoded state, per field."""
-    encoded = encode_state(record)
-    header = (
-        2 + len(record.kind_name.encode("utf-8"))
-        + 2 + len(record.namespace.encode("utf-8"))
-        + 4 + 2
-    )
-    per_field = {}
-    for f in record.persistent_fields():
-        per_field[f.name] = (
-            1 + len(f.name.encode("utf-8")) + 1 + encoded_value_size(f.tag, record.values[f.name])
-        )
-    breakdown = SizeBreakdown(total=len(encoded), header_bytes=header, per_field=per_field)
-    assert breakdown.header_bytes + sum(per_field.values()) == breakdown.total
-    return breakdown
+    header, fields = _state_layout(record)
+    per_field = {name: len(encoded) for name, encoded in fields}
+    return SizeBreakdown(len(header) + sum(per_field.values()), len(header), per_field)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +367,17 @@ def compress_payload(data: bytes, level: int = 6) -> bytes:
 
 
 def decompress_payload(data: bytes) -> bytes:
+    """Inflate one gzip member; refuse one that inflates past ``MAX_INFLATED_BYTES``."""
+    inflater = zlib.decompressobj(16 + zlib.MAX_WBITS)  # 16+: expect the gzip header and trailer
     try:
-        return gzip.decompress(data)
-    except (OSError, EOFError, zlib.error) as exc:
+        out = inflater.decompress(data, MAX_INFLATED_BYTES + 1)
+    except zlib.error as exc:
         raise WireError(f"corrupt gzip container: {exc}") from exc
+    if len(out) > MAX_INFLATED_BYTES:
+        raise WireError(f"gzip container inflates past {MAX_INFLATED_BYTES} bytes")
+    if not inflater.eof or inflater.unused_data:
+        raise WireError("corrupt gzip container: truncated, or bytes after its end")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +574,7 @@ def decode_forward_results(data: bytes) -> list[ForwardResult]:
 def schema_from_dict(doc: dict) -> tuple[str, str, list[FieldDescriptor]]:
     fields = []
     for entry in doc.get("fields", []):
-        tag = _TYPE_BY_NAME.get(entry["type"])
+        tag = TAG_BY_NAME.get(entry["type"])
         if tag is None:
             raise WireError(f"unknown field type {entry['type']!r}")
         transient = entry.get("persistence", "persistent") == "transient"
@@ -589,7 +588,7 @@ def schema_from_dict(doc: dict) -> tuple[str, str, list[FieldDescriptor]]:
 def schema_to_dict(kind_name: str, namespace: str, fields: list[FieldDescriptor]) -> dict:
     entries = []
     for f in fields:
-        entry: dict[str, Any] = {"name": f.name, "type": _TYPE_NAMES[f.tag]}
+        entry: dict[str, Any] = {"name": f.name, "type": FIELD_TYPES[f.tag].name}
         entry["persistence"] = "transient" if f.transient else "persistent"
         if f.transient:
             entry["default"] = f.default.hex() if isinstance(f.default, bytes) else f.default

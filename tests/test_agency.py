@@ -226,6 +226,24 @@ class TestAdmission:
         finally:
             cluster.stop()
 
+    def test_state_inflating_past_the_cap_is_nack_2(self, monkeypatch):
+        cluster, record, img = make_cluster()
+        try:
+            target = cluster.endpoints[1]
+            record.set("it", [str(target), str(cluster.endpoints[0])])
+            record.set("data", ["x" * 4000])
+            state = wire.encode_state(record)
+            payload = wire.AgentTransferPayload(b"\x07" * 16, img.digest, 0, wire.compress_payload(state))
+            frame = Frame(FrameKind.AGENT_TRANSFER, payload.encode(), wire.FLAG_COMPRESSED)
+            monkeypatch.setattr(wire, "MAX_INFLATED_BYTES", len(state) - 1)
+            receipt = cluster.agency(0).transport.send_frame(target, frame, cluster.opts)
+            assert not receipt.ok and receipt.error_code == wire.ERR_DECODE_FAILED
+            assert not cluster.agency(1).hops
+            monkeypatch.setattr(wire, "MAX_INFLATED_BYTES", len(state))
+            assert cluster.agency(0).transport.send_frame(target, frame, cluster.opts).ok
+        finally:
+            cluster.stop()
+
     def test_arrival_increments_hop(self):
         cluster, record, img = make_cluster()
         try:
@@ -406,6 +424,40 @@ class TestHops:
                 assert origin.completions.pop(agent_id)
             assert len(origin.hops) == len(cluster.agency(1).hops) == cap
             assert (origin.hops[-1].agent_id, origin.hops[-1].status) == (agent_id, "completed")
+        finally:
+            cluster.stop()
+
+    def test_failures_keep_the_newest_entries(self, monkeypatch, caplog):
+        cap = 8
+        monkeypatch.setattr(agency_module, "HOP_LOG_RECORDS", cap)
+        cluster = Cluster(2)
+        fields = [FieldDescriptor("it", TypeTag.STRING_ARRAY)]
+        img = CodeImage.from_code("Bomb", b"b" * 16)
+
+        def boom(state, ctx):
+            raise RuntimeError("kaboom")
+
+        from agentway.agency import Behavior
+
+        for agency in cluster.agencies.values():
+            agency.install_code(img)
+            agency.register_behavior("Bomb", Behavior("boom", fields, boom, lambda s, c: None))
+        origin, remote = cluster.agency(0), cluster.agency(1)
+        try:
+            launched = []
+            for _ in range(cap + 20):  # each fails at the remote, which reports it to the origin
+                record = StateRecord(kind_name="Bomb", fields=fields)
+                launched.append(origin.launch(record, [cluster.endpoints[1], cluster.endpoints[0]]))
+                cluster.network.run()
+            assert list(remote.failures) == list(origin.failures) == launched[-cap:]
+            unsolicited = [bytes([i]) * 16 for i in range(1, cap + 21)]
+            for agent_id in unsolicited:
+                report = wire.ErrorPayload(wire.ERR_INTERNAL, "unsolicited", agent_id)
+                data = wire.encode_frame(Frame(FrameKind.ERROR, report.encode()))
+                reply = cluster.network.deliver(cluster.endpoints[0].key, data, cluster.endpoints[1].key)
+                assert wire.decode_frame(reply).kind == FrameKind.ACK
+            assert list(origin.failures) == unsolicited[-cap:]
+            assert unsolicited[0].hex() in caplog.text  # every received report is logged
         finally:
             cluster.stop()
 

@@ -75,6 +75,36 @@ class TestBenchCommands:
         assert main(["report", "--in", str(empty)]) == 2
 
 
+class TestConfigFiles:
+    def test_keys_a_file_leaves_out_take_the_library_defaults(self, monkeypatch):
+        import argparse
+        from dataclasses import dataclass, field
+
+        from agentway import cli
+        from agentway.agency import Agency
+        from agentway.transport import LinkModel
+
+        @dataclass
+        class RunConfig(bench.RunConfig):
+            repetitions: int = 7
+            link: LinkModel = field(default_factory=lambda: LinkModel(64_000, 0.002))
+
+        class SmallCacheAgency(Agency):
+            def __init__(self, *args, cache_capacity=3, cache_byte_limit=999, **kwargs):
+                super().__init__(*args, cache_capacity=cache_capacity,
+                                 cache_byte_limit=cache_byte_limit, **kwargs)
+
+        monkeypatch.setattr(bench, "RunConfig", RunConfig)
+        monkeypatch.setattr(cli, "Agency", SmallCacheAgency)
+        args = argparse.Namespace()
+        config = cli._run_config_from({"warmup": 2, "link": {"latency_s": 0.005}}, args)
+        assert (config.repetitions, config.warmup) == (7, 2)
+        assert config.link == LinkModel(64_000, 0.005)
+        agency = cli._build_agency({"bind": "127.0.0.1:0", "cache_byte_limit": 5000}, args)
+        agency.stop()
+        assert (agency.cache.capacity, agency.cache.byte_limit) == (3, 5000)
+
+
 def serve_agency(tmp_path, name, port=0, behaviors=None):
     """Start a real-socket agency from a config file; returns (agency, endpoint)."""
     from agentway.cli import _build_agency

@@ -295,6 +295,24 @@ class TestPush:
             for a in agencies.values():
                 a.stop()
 
+    def test_hosts_behind_an_unreachable_relay_are_reported(self):
+        topo = three_segment_topology()
+        relay = topo.mdms["seg3"]
+        network, opts, agencies = live_cluster(topo, skip={relay.key})
+        image = CodeImage.from_code("MAExample", b"\xef" * 128)
+        try:
+            plan = plan_distribution(ALL_NINE, topo, "hierarchical")
+            report = push_code(plan, image, agencies[topo.manager.key].transport, opts, topo)
+            assert set(report.acks) == {e.target.key for e in plan.edges}
+            assert len(report.acks) == 8
+            failed = [k for k, ok in report.acks.items() if not ok]
+            assert failed == [relay.key, ep(3, 2).key, ep(3, 3).key]
+            for behind in (ep(3, 2).key, ep(3, 3).key):
+                assert str(relay) in report.errors[behind]
+        finally:
+            for a in agencies.values():
+                a.stop()
+
     def test_tampered_image_refused_before_any_send(self):
         topo = three_segment_topology()
         image = CodeImage("MAExample", b"\x00" * 32, b"not matching")

@@ -1,5 +1,6 @@
 """Static checks on the package source: no import is left unused, no broad
-exception handler swallows an error without a word."""
+exception handler swallows an error without a word, no module reads another's
+private names."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,50 @@ def test_the_scan_finds_a_silent_broad_handler():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_silent_broad_handlers(path):
     assert silent_broad_handlers(path.read_text(encoding="utf-8")) == []
+
+
+def private_reads_of_sibling_modules(source: str) -> list[str]:
+    """``_``-prefixed names a module reads from another ``agentway`` module, by
+    attribute (``wire._x``) or by import (``from .wire import _x``)."""
+    tree = ast.parse(source)
+    siblings, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "agentway"
+        ):
+            for alias in node.names:
+                if node.module in (None, "agentway"):
+                    siblings.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append(f"line {node.lineno}: {node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("agentway.") and alias.asname:
+                    siblings.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and _private(node.attr)):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_the_scan_finds_a_private_read_of_a_sibling_module():
+    assert private_reads_of_sibling_modules("from . import wire\nx = wire._TABLE\n") == [
+        "line 2: wire._TABLE"
+    ]
+    assert private_reads_of_sibling_modules("from .wire import _Reader\n") == ["line 1: wire._Reader"]
+    assert private_reads_of_sibling_modules("from agentway.wire import _x\n") == [
+        "line 1: agentway.wire._x"
+    ]
+    assert private_reads_of_sibling_modules("import agentway.wire as w\nw._x\n") == ["line 2: w._x"]
+    assert private_reads_of_sibling_modules("from . import wire\nwire.TABLE, wire.__name__\n") == []
+    assert private_reads_of_sibling_modules("import os\nos._exit\nself._lock\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_reads_of_sibling_modules(path):
+    assert private_reads_of_sibling_modules(path.read_text(encoding="utf-8")) == []

@@ -108,6 +108,36 @@ class TestStateDecoding:
                     assert got == pytest.approx(want) if isinstance(want, float) else got == want
 
 
+class TestFieldTypes:
+    def test_every_tag_has_one_entry_and_a_name(self):
+        assert set(wire.FIELD_TYPES) == set(TypeTag)
+        assert {wire.TAG_BY_NAME[t.name] for t in wire.FIELD_TYPES.values()} == set(TypeTag)
+
+    def test_unknown_tag_rejected_at_the_descriptor(self):
+        with pytest.raises(WireError, match="unknown type tag"):
+            FieldDescriptor("x", 0x7F)
+
+    @pytest.mark.parametrize("default", [None, ["declared"]])
+    def test_each_record_gets_its_own_transient_list(self, default):
+        schema = [
+            FieldDescriptor("it", TypeTag.STRING_ARRAY),
+            FieldDescriptor("seen", TypeTag.STRING_ARRAY, transient=True, default=default),
+        ]
+        declared = list(schema[1].default)
+        first, second = rec(fields=schema), rec(fields=schema)
+        first.get("seen").append("host1")
+        first.get("it").append("10.0.0.1:9000")
+        assert second.get("seen") == declared and second.get("it") == []
+        assert schema[1].default == declared
+        arrived = wire.decode_state(wire.encode_state(first), schema)
+        assert arrived.get("seen") == declared
+        arrived.get("seen").append("host2")
+        assert wire.decode_state(wire.encode_state(first), schema).get("seen") == declared
+        copied = first.copy()
+        copied.get("seen").append("host3")
+        assert first.get("seen") == declared + ["host1"]
+
+
 class TestMeasure:
     def test_string_value_shrink_is_exact(self):
         long = rec(fields=[FieldDescriptor("s", TypeTag.STRING)], values={"s": "x" * 20})
@@ -215,6 +245,14 @@ class TestCompression:
             wire.decompress_payload(good[:-4] + b"\x00\x00\x00\x00")
         with pytest.raises(WireError):
             wire.decompress_payload(b"not gzip at all")
+
+    def test_inflating_past_the_cap_is_refused(self, monkeypatch):
+        cap = 4096
+        monkeypatch.setattr(wire, "MAX_INFLATED_BYTES", cap)
+        data = random.Random(5).randbytes(cap)
+        assert wire.decompress_payload(wire.compress_payload(data)) == data
+        with pytest.raises(WireError, match="inflates past"):
+            wire.decompress_payload(wire.compress_payload(data + b"\x00"))
 
 
 class TestFrames:
