@@ -35,9 +35,10 @@ class AgencyError(Exception):
 
 
 class AdmissionError(AgencyError):
-    def __init__(self, code: int, message: str) -> None:
+    def __init__(self, code: int, message: str, agent_id: bytes = b"\x00" * 16) -> None:
         super().__init__(message)
         self.code = code
+        self.agent_id = agent_id
 
 
 @dataclass(frozen=True)
@@ -196,6 +197,12 @@ class HopRecord:
     send_bytes: int = 0
 
 
+def _bound(table: dict) -> None:
+    """Keep the newest ``HOP_LOG_RECORDS`` entries; the caller holds the agency's lock."""
+    while len(table) > HOP_LOG_RECORDS:
+        del table[next(iter(table))]
+
+
 def itinerary_endpoints(state: StateRecord, protocol: str) -> list[Endpoint]:
     return [parse_endpoint(entry, protocol) for entry in state.get("it")]
 
@@ -207,7 +214,8 @@ class Agency:
     the newest ``HOP_LOG_RECORDS`` of them. Hops run on other threads in
     real-socket mode, so read it there through a copy, ``list(agency.hops)``.
     ``failures`` maps an agent id to why it failed, here or as an ``ERROR``
-    frame reported; it too keeps the newest ``HOP_LOG_RECORDS``.
+    frame reported, and ``completions`` to what it brought home; each keeps
+    the newest ``HOP_LOG_RECORDS``. All three change under ``wait``'s condition.
     """
 
     def __init__(
@@ -228,7 +236,7 @@ class Agency:
         self.topology = topology
         self.agency_id = os.urandom(8).hex()
         self._behaviors: dict[str, Behavior] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()
         self.completions: dict[bytes, dict] = {}
         self.failures: dict[bytes, str] = {}
         self.hops: deque[HopRecord] = deque(maxlen=HOP_LOG_RECORDS)
@@ -276,7 +284,8 @@ class Agency:
                         err.agent_id.hex(), source, err.message)
             with self._lock:
                 self.failures[err.agent_id] = err.message
-                self._bound_failures()
+                _bound(self.failures)
+                self._lock.notify_all()
             return Frame(FrameKind.ACK)
         return Frame(
             FrameKind.ERROR,
@@ -345,12 +354,7 @@ class Agency:
         try:
             instance = self.admit_agent(frame)
         except AdmissionError as exc:
-            agent_id = b"\x00" * 16
-            try:
-                agent_id = wire.AgentTransferPayload.decode(frame.payload).agent_id
-            except wire.WireError:
-                pass
-            return self._nack(exc.code, str(exc), agent_id)
+            return self._nack(exc.code, str(exc), exc.agent_id)
         if instance is None:  # probe: code present, nothing instantiated
             return Frame(FrameKind.ACK)
         self.transport.defer(lambda: self.run_hop(instance))
@@ -366,32 +370,34 @@ class Agency:
             payload = wire.AgentTransferPayload.decode(frame.payload)
         except wire.WireError as exc:
             raise AdmissionError(wire.ERR_DECODE_FAILED, f"bad transfer payload: {exc}")
-        state_bytes = payload.state
+        agent_id, state_bytes = payload.agent_id, payload.state
         try:
             if frame.compressed:
                 state_bytes = wire.decompress_payload(state_bytes)
             kind_name = wire.peek_kind_name(state_bytes)
         except wire.WireError as exc:
-            raise AdmissionError(wire.ERR_DECODE_FAILED, f"undecodable state: {exc}")
+            raise AdmissionError(wire.ERR_DECODE_FAILED, f"undecodable state: {exc}", agent_id)
         image = self.lookup_code(kind_name)
         if image is None or image.digest != payload.digest:
             raise AdmissionError(
                 wire.ERR_CODE_MISSING,
                 f"no cached code for {kind_name!r}; push model does not fetch on demand",
+                agent_id,
             )
         if frame.flags & wire.FLAG_PROBE:
             return None
         behavior = self._behaviors.get(kind_name)
         if behavior is None:
-            raise AdmissionError(wire.ERR_INTERNAL, f"no behavior registered for {kind_name!r}")
+            raise AdmissionError(wire.ERR_INTERNAL, f"no behavior registered for {kind_name!r}",
+                                 agent_id)
         try:
             state = wire.decode_state(state_bytes, behavior.schema)
         except wire.SchemaMismatchError as exc:
-            raise AdmissionError(wire.ERR_SCHEMA_MISMATCH, str(exc))
+            raise AdmissionError(wire.ERR_SCHEMA_MISMATCH, str(exc), agent_id)
         except wire.WireError as exc:
-            raise AdmissionError(wire.ERR_DECODE_FAILED, str(exc))
+            raise AdmissionError(wire.ERR_DECODE_FAILED, str(exc), agent_id)
         return AgentInstance(
-            payload.agent_id, state, behavior, payload.hop_index, time.perf_counter_ns() - t0
+            agent_id, state, behavior, payload.hop_index, time.perf_counter_ns() - t0
         )
 
     def run_hop(self, instance: AgentInstance) -> HopRecord:
@@ -411,14 +417,16 @@ class Agency:
             return self._fail(hop, str(exc), origin)
         if instance.hop_index >= len(itinerary) - 1:
             hop.status = "completed"
-            self.hops.append(hop)  # before the completion, which is what callers wait on
             data = instance.state.values.get("data")
             with self._lock:
+                self.hops.append(hop)
                 self.completions[instance.agent_id] = {
                     "data": list(data) if data is not None else [],
                     "state": instance.state,
                     "completed_ns": time.perf_counter_ns(),
                 }
+                _bound(self.completions)
+                self._lock.notify_all()
             return hop
         dest = itinerary[instance.hop_index + 1]
         try:
@@ -431,7 +439,9 @@ class Agency:
                 hop, f"hop refused with code {receipt.error_code}: {receipt.error_message}", origin
             )
         hop.status = "dispatched"
-        self.hops.append(hop)
+        with self._lock:
+            self.hops.append(hop)
+            self._lock.notify_all()
         return hop
 
     def dispatch(self, instance: AgentInstance, dest: Endpoint) -> tuple[Receipt, int]:
@@ -460,8 +470,9 @@ class Agency:
         hop.error = message
         with self._lock:
             self.failures.setdefault(hop.agent_id, message)
-            self._bound_failures()
-        self.hops.append(hop)
+            _bound(self.failures)
+            self.hops.append(hop)
+            self._lock.notify_all()
         if origin is None or origin.key == self.bind.key:
             return hop
         report = wire.ErrorPayload(wire.ERR_INTERNAL, message, hop.agent_id)
@@ -472,10 +483,23 @@ class Agency:
                         hop.agent_id.hex(), hop.hop_index, origin, message, exc)
         return hop
 
-    def _bound_failures(self) -> None:
-        """Keep the newest ``HOP_LOG_RECORDS`` failures; the caller holds ``_lock``."""
-        while len(self.failures) > HOP_LOG_RECORDS:
-            del self.failures[next(iter(self.failures))]
+    def wait(self, agent_id: bytes, hop_index: int, timeout: float) -> HopRecord:
+        """The newest record of the agent's hop ``hop_index`` here, once it is logged
+        (a completing hop's completion is written with it). Raises ``AgencyError``
+        once the agent is in ``failures`` here, ``TimeoutError`` after ``timeout`` s.
+        """
+
+        def logged() -> Optional[HopRecord]:
+            return next((hop for hop in reversed(self.hops)
+                         if hop.agent_id == agent_id and hop.hop_index == hop_index), None)
+
+        with self._lock:
+            found = self._lock.wait_for(lambda: agent_id in self.failures or logged(), timeout)
+            if agent_id in self.failures:
+                raise AgencyError(self.failures[agent_id])
+        if not found:
+            raise TimeoutError(f"agent {agent_id.hex()} hop {hop_index} not logged in {timeout} s")
+        return found
 
     # -- launching -----------------------------------------------------------
 
@@ -503,10 +527,12 @@ class Agency:
         error = None if receipt.ok else (
             f"launch refused with code {receipt.error_code}: {receipt.error_message}"
         )
-        self.hops.append(HopRecord(
-            agent_id, -1, "failed" if error else "launched", error, encode_ns=encode_ns,
-            send_ns=int(receipt.send_duration_s * 1e9), send_bytes=receipt.bytes_on_wire,
-        ))
+        with self._lock:
+            self.hops.append(HopRecord(
+                agent_id, -1, "failed" if error else "launched", error, encode_ns=encode_ns,
+                send_ns=int(receipt.send_duration_s * 1e9), send_bytes=receipt.bytes_on_wire,
+            ))
+            self._lock.notify_all()
         if error:
             raise AgencyError(error)
         return agent_id

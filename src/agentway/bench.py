@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import wire
-from .agency import Agency, CodeImage, HopRecord, pingpong_behavior
+from .agency import Agency, AgencyError, CodeImage, pingpong_behavior
 from .transport import (
     Endpoint,
     InProcNetwork,
@@ -122,10 +122,8 @@ def make_variant_record(
 
 def sized_variant(target_bytes: int, transient_extras: bool = False) -> StateRecord:
     """A conventional record padded with one string field to about target_bytes."""
-    base = make_variant_record(list(BASE_FIELDS))
-    floor = wire.measure_state(base).total + 1 + 1 + 1 + 4  # plus the "s" field framing
-    pad = max(0, target_bytes - floor)
-    specs = list(BASE_FIELDS) + [FieldSpec("s", "string", size=pad)]
+    floor = wire.measure_state(make_variant_record(BASE_FIELDS + [FieldSpec("s", "string")])).total
+    specs = list(BASE_FIELDS) + [FieldSpec("s", "string", size=max(0, target_bytes - floor))]
     if transient_extras:
         specs.append(FieldSpec("tmp", "int32", transient=True))
     return make_variant_record(specs)
@@ -274,22 +272,15 @@ def _one_roundtrip(
         p1 = time.perf_counter_ns() - start
     agency_a.launch(record, itinerary, agent_id=agent_id)
     if config.mode == "modeled":
-        agency_a.transport.network.run()
-    else:  # B logs its hop once A has acknowledged it, which may be after A completes
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline and not (
-            agent_id in agency_a.completions and _hop(agency_b, agent_id, 0)
-        ):
-            time.sleep(0.0002)
-    completion = agency_a.completions.pop(agent_id, None)
-    there = _hop(agency_b, agent_id, 0)
-    failed = agent_id in agency_a.failures or agent_id in agency_b.failures
-    if completion is None or there is None or failed:
-        raise BenchError(
-            f"round trip failed: {agency_a.failures.get(agent_id) or agency_b.failures.get(agent_id)}"
-        )
-    elapsed = completion["completed_ns"] - start
-    launch, back = _hop(agency_a, agent_id, -1), _hop(agency_a, agent_id, 1)
+        agency_a.transport.network.run()  # every hop is logged when it returns
+    timeout = 0.0 if config.mode == "modeled" else 30.0
+    try:  # B logs its hop once A has acknowledged it, which may be after A completes
+        back = agency_a.wait(agent_id, 1, timeout)
+        there = agency_b.wait(agent_id, 0, timeout)
+        launch = agency_a.wait(agent_id, -1, timeout)
+    except (AgencyError, TimeoutError) as exc:
+        raise BenchError(f"round trip failed: {exc}") from exc
+    elapsed = agency_a.completions.pop(agent_id)["completed_ns"] - start
     p2, p4, p5, p7 = launch.encode_ns, there.decode_ns, there.encode_ns, back.decode_ns
     if config.mode == "modeled":
         p3, p6 = launch.send_ns, there.send_ns
@@ -301,15 +292,6 @@ def _one_roundtrip(
     local = p1 + p2 + p4 + p5 + p7
     combined = max(0, elapsed - local)
     return PhaseTimings(p1, p2, combined, p4, p5, 0, p7, elapsed, transfer_split=False)
-
-
-def _hop(agency: Agency, agent_id: bytes, hop_index: int) -> Optional[HopRecord]:
-    """The agency's newest record of the agent's hop, searched in a copy of its
-    log since real-socket hops append to it from other threads."""
-    for hop in reversed(list(agency.hops)):
-        if hop.agent_id == agent_id and hop.hop_index == hop_index:
-            return hop
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import time
 from typing import Optional
 
 from . import bench, wire
-from .agency import Agency, BUILTIN_BEHAVIORS, CodeImage
+from .agency import Agency, AgencyError, BUILTIN_BEHAVIORS, CodeImage
 from .distribution import (
     DistributionError,
     Topology,
@@ -192,17 +192,16 @@ def cmd_launch(args) -> int:
                 return 2
         record = bench.optimised_record()
         agent_id = agency.launch(record, itinerary)
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            if agent_id in agency.completions:
-                print(json.dumps({"data": agency.completions[agent_id]["data"]}))
-                return 0
-            if agent_id in agency.failures:
-                print(f"agent failed: {agency.failures[agent_id]}", file=sys.stderr)
-                return 2
-            time.sleep(0.01)
-        print("timed out waiting for the agent to return", file=sys.stderr)
-        return 2
+        try:
+            agency.wait(agent_id, len(itinerary) - 1, 60.0)
+        except TimeoutError:
+            print("timed out waiting for the agent to return", file=sys.stderr)
+            return 2
+        except AgencyError as exc:
+            print(f"agent failed: {exc}", file=sys.stderr)
+            return 2
+        print(json.dumps({"data": agency.completions[agent_id]["data"]}))
+        return 0
     finally:
         agency.stop()
 

@@ -24,6 +24,7 @@ FLAG_PROBE = 0x02  # AGENT_TRANSFER only: code-presence probe, no instantiation
 
 # a compressed payload inflates to at most this, the frame cap (transport.MAX_FRAME_BYTES)
 MAX_INFLATED_BYTES = 16 * 1024 * 1024
+INFLATE_STEP = 64 * 1024
 
 DIGEST_LEN = 32
 AGENT_ID_LEN = 16
@@ -367,17 +368,24 @@ def compress_payload(data: bytes, level: int = 6) -> bytes:
 
 
 def decompress_payload(data: bytes) -> bytes:
-    """Inflate one gzip member; refuse one that inflates past ``MAX_INFLATED_BYTES``."""
+    """Inflate one gzip member; refuse one that inflates past ``MAX_INFLATED_BYTES``.
+    It inflates in ``INFLATE_STEP`` steps into one buffer, so refusing holds the cap once."""
     inflater = zlib.decompressobj(16 + zlib.MAX_WBITS)  # 16+: expect the gzip header and trailer
+    out, pending = bytearray(), data
     try:
-        out = inflater.decompress(data, MAX_INFLATED_BYTES + 1)
+        while not inflater.eof:
+            step = inflater.decompress(pending, INFLATE_STEP)
+            if not step and len(inflater.unconsumed_tail) == len(pending):
+                break  # truncated: no input taken, nothing produced
+            out += step
+            pending = inflater.unconsumed_tail
+            if len(out) > MAX_INFLATED_BYTES:
+                raise WireError(f"gzip container inflates past {MAX_INFLATED_BYTES} bytes")
     except zlib.error as exc:
         raise WireError(f"corrupt gzip container: {exc}") from exc
-    if len(out) > MAX_INFLATED_BYTES:
-        raise WireError(f"gzip container inflates past {MAX_INFLATED_BYTES} bytes")
     if not inflater.eof or inflater.unused_data:
         raise WireError("corrupt gzip container: truncated, or bytes after its end")
-    return out
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------

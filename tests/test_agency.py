@@ -2,6 +2,7 @@ import hashlib
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 import zlib
@@ -199,6 +200,25 @@ class TestAdmission:
         finally:
             cluster.stop()
 
+    def test_nack_names_the_refused_agent_once_decoded(self):
+        cluster, record, img = make_cluster()
+        try:
+            target, source = cluster.endpoints[1].key, cluster.endpoints[0].key
+            cluster.agency(1).cache = CodeCache(capacity=1)  # empty cache
+            frame = transfer_frame(record, img, agent_id=b"\x2a" * 16)
+            with pytest.raises(AdmissionError) as exc:
+                cluster.agency(1).admit_agent(frame)
+            assert (exc.value.code, exc.value.agent_id) == (wire.ERR_CODE_MISSING, b"\x2a" * 16)
+            for sent, code, agent_id in (
+                (frame, wire.ERR_CODE_MISSING, b"\x2a" * 16),
+                (Frame(FrameKind.AGENT_TRANSFER, b"\x2a" * 20), wire.ERR_DECODE_FAILED, b"\x00" * 16),
+            ):
+                reply = wire.decode_frame(cluster.network.deliver(target, wire.encode_frame(sent), source))
+                nack = wire.ErrorPayload.decode(reply.payload)
+                assert (reply.kind, nack.code, nack.agent_id) == (FrameKind.ERROR, code, agent_id)
+        finally:
+            cluster.stop()
+
     def test_schema_mismatch_is_nack_4(self):
         cluster, record, img = make_cluster()
         try:
@@ -288,6 +308,8 @@ class TestHops:
             assert launch.send_bytes == origin.transport.link_stats(cluster.endpoints[1]).bytes_sent
             assert there.send_bytes > launch.send_bytes  # the collector added "h1"
             assert back.send_bytes == back.send_ns == 0  # nothing sent on
+            assert [origin.wait(agent_id, i, 0) for i in (-1, 1)] == [launch, back]
+            assert cluster.agency(1).wait(agent_id, 0, 0) is there
         finally:
             cluster.stop()
 
@@ -375,6 +397,9 @@ class TestHops:
             assert (failed.agent_id, failed.hop_index, failed.status, failed.error) == (
                 agent_id, 0, "failed", "kaboom"
             )
+            for agency, hop_index in ((cluster.agency(0), 1), (cluster.agency(1), 0)):
+                with pytest.raises(AgencyError, match="^kaboom$"):  # reported, and failed here
+                    agency.wait(agent_id, hop_index, 0)
         finally:
             cluster.stop()
 
@@ -461,6 +486,23 @@ class TestHops:
         finally:
             cluster.stop()
 
+    def test_completions_keep_the_newest_entries(self, monkeypatch):
+        cap = 8
+        monkeypatch.setattr(agency_module, "HOP_LOG_RECORDS", cap)
+        cluster, record, img = make_cluster()
+        try:
+            target, source = cluster.endpoints[1], cluster.endpoints[0]
+            record.set("it", [str(target)])  # one stop, which is also the origin: the final hop
+            unsolicited = [bytes([i]) * 16 for i in range(1, cap + 21)]
+            for agent_id in unsolicited:
+                data = wire.encode_frame(transfer_frame(record, img, agent_id=agent_id))
+                reply = cluster.network.deliver(target.key, data, source.key)
+                assert wire.decode_frame(reply).kind == FrameKind.ACK
+            cluster.network.run()
+            assert list(cluster.agency(1).completions) == unsolicited[-cap:]
+        finally:
+            cluster.stop()
+
     def test_retired_timing_report_kind_is_refused_and_leaves_nothing(self):
         cluster, record, img = make_cluster()
         try:
@@ -484,6 +526,43 @@ class TestHops:
             with pytest.raises(AgencyError, match="end at"):
                 cluster.agency(0).launch(record.copy(), [cluster.endpoints[1]])
         finally:
+            cluster.stop()
+
+
+class TestWait:
+    def test_times_out_on_a_hop_never_logged(self):
+        cluster, record, img = make_cluster()
+        try:
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                cluster.agency(0).wait(b"\x01" * 16, 1, 0.05)
+            assert 0.05 <= time.monotonic() - start < 2.0
+        finally:
+            cluster.stop()
+
+    def test_blocked_waits_return_once_another_thread_runs_the_hops(self):
+        cluster, record, img = make_cluster()
+        origin, itinerary = cluster.agency(0), [cluster.endpoints[1], cluster.endpoints[0]]
+        agent_ids, returned = [bytes([i]) * 16 for i in range(1, 7)], []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            waiters = [threading.Thread(target=lambda a=a: returned.append(origin.wait(a, 1, 10.0)))
+                       for a in agent_ids]
+            for waiter in waiters:
+                waiter.start()
+            for agent_id in agent_ids:
+                origin.launch(record.copy(), itinerary, agent_id=agent_id)
+            runner = threading.Thread(target=cluster.network.run)
+            runner.start()
+            for thread in (runner, *waiters):
+                thread.join(5.0)
+                assert not thread.is_alive()
+            assert sorted((h.agent_id, h.status) for h in returned) == [
+                (agent_id, "completed") for agent_id in agent_ids
+            ]
+        finally:
+            sys.setswitchinterval(switch)
             cluster.stop()
 
 

@@ -116,3 +116,43 @@ def test_the_scan_finds_a_private_read_of_a_sibling_module():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_reads_of_sibling_modules(path):
     assert private_reads_of_sibling_modules(path.read_text(encoding="utf-8")) == []
+
+
+def sleeping_functions(source: str) -> list[str]:
+    """The functions that call ``time.sleep`` (or a ``sleep`` imported from
+    ``time``), one entry per call; a call outside any function is ``<module>``."""
+    tree = ast.parse(source)
+    bare = {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "time"
+            for alias in node.names if alias.name == "sleep"}
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and (
+                (isinstance(child.func, ast.Attribute) and child.func.attr == "sleep"
+                 and isinstance(child.func.value, ast.Name) and child.func.value.id == "time")
+                or (isinstance(child.func, ast.Name) and child.func.id in bare)
+            ):
+                found.append(where)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if named else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_scan_finds_a_sleep():
+    assert sleeping_functions("import time\ndef f():\n    time.sleep(1)\n") == ["f"]
+    assert sleeping_functions("from time import sleep as nap\nclass C:\n    def g(self):\n"
+                              "        while True:\n            nap(0.1)\n") == ["g"]
+    assert sleeping_functions("import time\ntime.sleep(0)\n") == ["<module>"]
+    assert sleeping_functions("import time\ndef f(cond):\n    cond.wait(1)\n    time.monotonic()\n") == []
+
+
+def test_only_the_serve_loop_sleeps():
+    """Code that waits for an outcome waits on the agency (``Agency.wait``), not
+    on a clock; ``agentway serve`` idles until it is interrupted."""
+    found = [f"{path.stem}.{where}" for path in MODULES
+             for where in sleeping_functions(path.read_text(encoding="utf-8"))]
+    assert found == ["cli.cmd_serve"]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -253,6 +254,27 @@ class TestCompression:
         assert wire.decompress_payload(wire.compress_payload(data)) == data
         with pytest.raises(WireError, match="inflates past"):
             wire.decompress_payload(wire.compress_payload(data + b"\x00"))
+
+    def test_refusing_a_bomb_holds_the_cap_once(self, monkeypatch):
+        cap = 1024 * 1024
+        monkeypatch.setattr(wire, "MAX_INFLATED_BYTES", cap)
+        bomb = wire.compress_payload(b"\x00" * (4 * cap))
+        tracemalloc.start()
+        try:
+            with pytest.raises(WireError, match="inflates past"):
+                wire.decompress_payload(bomb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cap
+
+    def test_every_truncation_and_trailing_bytes_are_refused(self):
+        good = wire.compress_payload(random.Random(8).randbytes(300))
+        for n in range(len(good)):
+            with pytest.raises(WireError):
+                wire.decompress_payload(good[:n])
+        with pytest.raises(WireError, match="bytes after its end"):
+            wire.decompress_payload(good + b"\x00")
 
 
 class TestFrames:
