@@ -210,6 +210,9 @@ def itinerary_endpoints(state: StateRecord, protocol: str) -> list[Endpoint]:
 class Agency:
     """One host's runtime: listener, code cache, behavior registry, completions.
 
+    It speaks its bind endpoint's protocol: it listens on it and reads every
+    itinerary stop and relay target with it. ``opts`` sets how frames are sent.
+
     ``hops`` is the hop log: one ``HopRecord`` per hop run here and per launch,
     the newest ``HOP_LOG_RECORDS`` of them. Hops run on other threads in
     real-socket mode, so read it there through a copy, ``list(agency.hops)``.
@@ -231,7 +234,7 @@ class Agency:
         self.host_name = host_name
         self.bind = bind
         self.transport = transport
-        self.opts = opts or TransportOpts(protocol=bind.protocol)
+        self.opts = opts or TransportOpts()
         self.cache = CodeCache(cache_capacity, cache_byte_limit)
         self.topology = topology
         self.agency_id = os.urandom(8).hex()
@@ -320,7 +323,7 @@ class Agency:
             image.kind_name, image.digest, image.code).encode())
         results = []
         for target in req.targets:
-            endpoint = Endpoint(target.address, target.port, self.opts.protocol)
+            endpoint = Endpoint(target.address, target.port, self.bind.protocol)
             if self._is_self(endpoint):  # this relay already holds the code
                 results.append(
                     wire.ForwardResult(target.address, target.port, False, wire.ERR_BAD_FRAME)
@@ -404,7 +407,7 @@ class Agency:
         hop = HopRecord(instance.agent_id, instance.hop_index, "failed", decode_ns=instance.decode_ns)
         ctx = self.context()
         try:
-            itinerary = itinerary_endpoints(instance.state, self.opts.protocol)
+            itinerary = itinerary_endpoints(instance.state, self.bind.protocol)
             origin = itinerary[-1]
         except Exception as exc:  # the origin is the itinerary's last stop: it cannot be told
             message = f"bad itinerary: {exc!r}"

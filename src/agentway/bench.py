@@ -120,20 +120,20 @@ def make_variant_record(
     return StateRecord(kind_name=kind_name, namespace=namespace, fields=fields, values=values)
 
 
-def sized_variant(target_bytes: int, transient_extras: bool = False) -> StateRecord:
+def sized_variant(target_bytes: int) -> StateRecord:
     """A conventional record padded with one string field to about target_bytes."""
     floor = wire.measure_state(make_variant_record(BASE_FIELDS + [FieldSpec("s", "string")])).total
     specs = list(BASE_FIELDS) + [FieldSpec("s", "string", size=max(0, target_bytes - floor))]
-    if transient_extras:
-        specs.append(FieldSpec("tmp", "int32", transient=True))
     return make_variant_record(specs)
 
 
-def non_optimised_record(itinerary: Optional[list[str]] = None) -> StateRecord:
+DEMO_ITINERARY = ("10.0.0.2:9001", "10.0.0.1:9001")  # the itinerary both composite records carry
+
+
+def non_optimised_record() -> StateRecord:
     """Long names, everything persistent, the shape a first-cut agent would have."""
-    itinerary = itinerary if itinerary is not None else ["10.0.0.2:9001", "10.0.0.1:9001"]
     specs = [
-        FieldSpec("itinerary", "string[]", value=list(itinerary)),
+        FieldSpec("itinerary", "string[]", value=list(DEMO_ITINERARY)),
         FieldSpec("datafolder", "string[]", value=[]),
         FieldSpec("originatingHost", "string", value="origin.example.net"),
         FieldSpec("encryptData", "bool", value=True),
@@ -143,11 +143,10 @@ def non_optimised_record(itinerary: Optional[list[str]] = None) -> StateRecord:
     return make_variant_record(specs, kind_name="MobileAgentExample", namespace="MobileAgentPackage")
 
 
-def optimised_record(itinerary: Optional[list[str]] = None) -> StateRecord:
+def optimised_record() -> StateRecord:
     """Short names, transients for everything the agent never reports back."""
-    itinerary = itinerary if itinerary is not None else ["10.0.0.2:9001", "10.0.0.1:9001"]
     specs = [
-        FieldSpec("it", "string[]", value=list(itinerary)),
+        FieldSpec("it", "string[]", value=list(DEMO_ITINERARY)),
         FieldSpec("data", "string[]", value=[]),
         FieldSpec("origin", "string", transient=True, value=None),
         FieldSpec("encryptData", "bool", transient=True),
@@ -367,16 +366,16 @@ class SizeVariant:
     java_ref: tuple[Optional[int], Optional[int]] = (None, None)
 
 
-def _sizes(record: StateRecord, level: int = 6) -> tuple[int, int]:
+def _sizes(record: StateRecord) -> tuple[int, int]:
     encoded = wire.encode_state(record)
-    return len(encoded), len(wire.compress_payload(encoded, level))
+    return len(encoded), len(wire.compress_payload(encoded))
 
 
-def run_size_experiment(variants: list[SizeVariant], level: int = 6) -> SizeTable:
+def run_size_experiment(variants: list[SizeVariant]) -> SizeTable:
     rows = []
     by_description = {}
     for v in variants:
-        unc, comp = _sizes(v.record, level)
+        unc, comp = _sizes(v.record)
         row = SizeRow(
             description=v.description,
             uncompressed=unc,
@@ -385,7 +384,7 @@ def run_size_experiment(variants: list[SizeVariant], level: int = 6) -> SizeTabl
             java_compressed_ref=v.java_ref[1],
         )
         if v.baseline is not None:
-            base_unc, base_comp = _sizes(v.baseline, level)
+            base_unc, base_comp = _sizes(v.baseline)
             row.delta_uncompressed = unc - base_unc
             row.delta_compressed = comp - base_comp
         rows.append(row)
@@ -490,23 +489,19 @@ def _frame_bytes_for_state(state_bytes: bytes) -> int:
     return payload_len + wire.FRAME_OVERHEAD
 
 
-def measure_serdes_cost(
-    description: str, record: StateRecord, reps: int = 30, level: int = 6
-) -> SerdesCost:
+def measure_serdes_cost(description: str, record: StateRecord, reps: int = 30) -> SerdesCost:
     """Median cost of one full serdes round trip (2 encodes + 2 decodes),
     with and without compression, measured on this machine."""
     schema = list(record.fields)
     encoded = wire.encode_state(record)
-    compressed = wire.compress_payload(encoded, level)
+    compressed = wire.compress_payload(encoded)
 
     def cycle(compress: bool) -> int:
         t0 = time.perf_counter_ns()
         for _ in range(2):  # each round trip serializes and deserializes twice
             img = wire.encode_state(record)
             if compress:
-                img = wire.compress_payload(img, level)
-            if compress:
-                img = wire.decompress_payload(img)
+                img = wire.decompress_payload(wire.compress_payload(img))
             wire.decode_state(img, schema)
         return time.perf_counter_ns() - t0
 
@@ -527,11 +522,10 @@ def run_compression_crossover(
     states: list[tuple[str, StateRecord]],
     links: list[LinkModel],
     reps: int = 30,
-    level: int = 6,
 ) -> CrossoverReport:
     """Modeled-mode only: measured serdes cost plus exact link-formula transfer,
     combined per (state, link) cell."""
-    costs = {desc: measure_serdes_cost(desc, rec, reps, level) for desc, rec in states}
+    costs = {desc: measure_serdes_cost(desc, rec, reps) for desc, rec in states}
     cells = []
     for desc, _ in states:
         cost = costs[desc]

@@ -58,7 +58,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", required=True)
     p.add_argument("--mode", choices=("flat", "hierarchical"), default="hierarchical")
     p.add_argument("--itinerary", help="comma-separated host:port list; default: all hosts")
-    _transport_flags(p)
+    _send_flags(p)  # the topology's endpoints choose TCP or UDP; code is never compressed
 
     p = sub.add_parser("launch", help="launch an agent along an itinerary")
     p.add_argument("--config", required=True, help="origin agency config")
@@ -93,6 +93,10 @@ def build_parser() -> _Parser:
 def _transport_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--protocol", choices=("tcp", "udp"))
     p.add_argument("--compress", action="store_true", default=None)
+    _send_flags(p)
+
+
+def _send_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-delay", action="store_true", default=None, dest="no_delay")
     p.add_argument("--buffer-size", type=int, dest="buffer_size")
 
@@ -174,9 +178,7 @@ def cmd_launch(args) -> int:
     agency = _build_agency(config, args)
     agency.start()
     try:
-        itinerary = resolve_itinerary(
-            args.itinerary.split(","), protocol=agency.opts.protocol
-        )
+        itinerary = resolve_itinerary(args.itinerary.split(","), protocol=agency.bind.protocol)
         if itinerary[-1].key != agency.bind.key:
             itinerary = itinerary + [agency.bind]
         if args.code:
@@ -315,7 +317,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TransportError, DistributionError, wire.WireError, bench.BenchError, OSError) as exc:
+    except (AgencyError, TransportError, DistributionError, wire.WireError, bench.BenchError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

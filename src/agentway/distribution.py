@@ -122,7 +122,6 @@ class PlanEdge:
 
 @dataclass
 class DistributionPlan:
-    mode: str  # "flat" | "hierarchical"
     edges: list[PlanEdge]
 
     def edges_on_link(self, link_id: str) -> list[PlanEdge]:
@@ -137,7 +136,6 @@ class LinkUsage:
 
 @dataclass
 class DistributionReport:
-    plan: DistributionPlan
     per_link: dict[str, LinkUsage]
     acks: dict[tuple[str, int], bool]
     errors: dict[tuple[str, int], str]
@@ -215,7 +213,7 @@ def plan_distribution(
             edges.append(PlanEdge(
                 manager, host, link_id_for(manager_seg, topology.segment_of(host)), phase=1
             ))
-        return DistributionPlan("flat", edges)
+        return DistributionPlan(edges)
 
     by_segment: dict[str, list[Endpoint]] = {}
     for host in targets:
@@ -234,7 +232,7 @@ def plan_distribution(
             if host.key == mdm.key:
                 continue  # the relay already holds the code it received
             edges.append(PlanEdge(mdm, host, link_id_for(seg, seg), phase=2))
-    return DistributionPlan("hierarchical", edges)
+    return DistributionPlan(edges)
 
 
 def push_code(
@@ -316,7 +314,6 @@ def push_code(
     frame_bytes = wire.FRAME_OVERHEAD + len(push_frame.payload)
     frames = Counter(edge.link_id for edge in plan.edges if acks.get(edge.target.key))
     return DistributionReport(
-        plan=plan,
         per_link={link_id: LinkUsage(n, n * frame_bytes) for link_id, n in frames.items()},
         acks=acks,
         errors=errors,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import wire
-from .wire import Frame, FrameKind
+from .wire import MAX_FRAME_BYTES, Frame, FrameKind
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +70,7 @@ def parse_endpoint(text: str, protocol: str = "tcp") -> Endpoint:
 
 @dataclass
 class TransportOpts:
-    protocol: str = "tcp"
+    protocol: str = "tcp"  # for parsing addresses (CLI, bench); an Endpoint carries its own
     no_delay: bool = False  # TCP only
     buffer_size: int = 8192
     compress: bool = False
@@ -339,7 +339,6 @@ class ModeledTransport(_Transport):
 
 MAX_IDLE_PER_PEER = 4  # idle TCP connections a SocketTransport keeps per (peer, no_delay)
 MAX_CONNECTIONS = 64  # accepted TCP connections one listener serves at once
-MAX_FRAME_BYTES = 16 * 1024 * 1024  # longest TCP frame, envelope included, sent or read
 CONN_TIMEOUT_S = 30.0  # a served connection silent this long, idle or mid-frame, is closed
 # kinds whose handler sends frames itself (a relay forwarding code): never run on the listener thread
 _OFFLOADED_KINDS = frozenset({int(FrameKind.FORWARD_REQUEST)})
@@ -655,7 +654,7 @@ class SocketTransport(_Transport):
     def _exchange(
         self, endpoint: Endpoint, data: bytes, opts: Optional[TransportOpts], link: Optional[Link]
     ) -> tuple[bytes, float]:
-        opts = opts or TransportOpts(protocol=endpoint.protocol)
+        opts = opts or TransportOpts()
         exchange = self._send_udp if endpoint.protocol == "udp" else self._send_tcp
         start = time.perf_counter()
         reply_bytes = exchange(endpoint, data, opts)

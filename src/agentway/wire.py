@@ -22,8 +22,8 @@ FRAME_OVERHEAD = 16  # magic(4) + version/kind/flags/reserved(4) + payload_len(4
 FLAG_COMPRESSED = 0x01
 FLAG_PROBE = 0x02  # AGENT_TRANSFER only: code-presence probe, no instantiation
 
-# a compressed payload inflates to at most this, the frame cap (transport.MAX_FRAME_BYTES)
-MAX_INFLATED_BYTES = 16 * 1024 * 1024
+MAX_FRAME_BYTES = 16 * 1024 * 1024  # longest TCP frame, envelope included, sent or read
+MAX_INFLATED_BYTES = MAX_FRAME_BYTES  # a compressed payload inflates to at most this
 INFLATE_STEP = 64 * 1024
 
 DIGEST_LEN = 32

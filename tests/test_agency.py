@@ -313,6 +313,27 @@ class TestHops:
         finally:
             cluster.stop()
 
+    def test_compressed_round_trip_through_dispatch(self):
+        cluster, record, img = make_cluster(opts=TransportOpts(compress=True))
+        transfers = []
+        cluster.network.add_tap(
+            lambda key, frame: transfers.append(frame) if frame.kind == FrameKind.AGENT_TRANSFER else None
+        )
+        try:
+            origin = cluster.agency(0)
+            record.set("data", ["carried both ways " * 8])
+            agent_id = origin.launch(record, [cluster.endpoints[1], cluster.endpoints[0]])
+            cluster.network.run()
+            assert origin.wait(agent_id, 1, 0).status == "completed"
+            assert len(transfers) == 2 and all(f.flags & wire.FLAG_COMPRESSED for f in transfers)
+            sent = wire.AgentTransferPayload.decode(transfers[0].payload).state
+            assert wire.decompress_payload(sent) == wire.encode_state(record)
+            assert len(sent) < len(wire.encode_state(record))
+            # the pingpong behavior bumps the persistent hop count once per arrival
+            assert origin.completions[agent_id]["state"].values == {**record.values, "hop": 2}
+        finally:
+            cluster.stop()
+
     def test_collector_appends_exactly_one_entry(self):
         cluster, record, img = make_cluster(behavior="collector")
         try:
@@ -632,3 +653,45 @@ class TestRelayOverSockets:
                 forward.join(timeout=5)
                 client.close()
                 relay.stop()
+
+
+class TestOverUdp:
+    """An agency bound to UDP speaks UDP to every stop and relay target, whatever its opts say."""
+
+    def test_round_trip_with_default_opts(self):
+        a, b = (Agency(name, Endpoint("127.0.0.1", 0, "udp"), SocketTransport(), TransportOpts())
+                for name in ("a", "b"))
+        img = image("MAExample", b"u" * 64)
+        fields = [FieldDescriptor("it", TypeTag.STRING_ARRAY), FieldDescriptor("data", TypeTag.STRING_ARRAY)]
+        try:
+            for agency in (a, b):
+                agency.start()
+                agency.install_code(img)
+                agency.register_behavior("MAExample", collector_behavior(fields))
+            record = StateRecord(kind_name="MAExample", fields=fields)
+            agent_id = a.launch(record, [b.bind, a.bind])
+            assert a.wait(agent_id, 1, 5.0).status == "completed"
+            assert a.completions[agent_id]["data"] == ["b", "a"]
+            assert not a.failures and not b.failures
+        finally:
+            a.stop()
+            b.stop()
+
+    def test_relay_forwards_code_to_a_udp_target(self):
+        relay, target = (Agency(name, Endpoint("127.0.0.1", 0, "udp"), SocketTransport(), TransportOpts())
+                         for name in ("relay", "target"))
+        img = CodeImage.from_code("Relayed", b"r" * 64)
+        relay.install_code(img)
+        client = SocketTransport()
+        try:
+            relay.start()
+            target.start()
+            receipt = client.send_frame(relay.bind, forward_request(img, target.bind.port))
+            assert receipt.ok
+            [result] = wire.decode_forward_results(receipt.reply.payload)
+            assert (result.port, result.ok) == (target.bind.port, True)
+            assert target.lookup_code("Relayed") == img
+        finally:
+            client.close()
+            relay.stop()
+            target.stop()

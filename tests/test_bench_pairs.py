@@ -45,3 +45,13 @@ def test_worse_than_bound_on_a_higher_is_better_metric():
     assert not m["worse_than_bound"]
     m = bench_pairs.compare(RATE, runs("ops_per_s", parent), runs("ops_per_s", parent))
     assert m["change_wins"] == 0 and not m["gain_shown"]  # ties count for neither side
+
+
+def test_src_lines_counts_newlines_of_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "agentway"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\n\nfour\n")
+    (package / "b.py").write_text("x = 1\ny = 2")  # no final newline: wc -l counts 1
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "c.py").write_text("not\ncounted\n")
+    assert bench_pairs.src_lines(tmp_path) == 5

@@ -21,6 +21,11 @@ class TestUsage:
     def test_missing_required_flag_is_exit_1(self, capsys):
         assert main(["push", "--topology", "x.json"]) == 1  # no --code/--kind
 
+    def test_push_takes_no_protocol_or_compress_flag(self, capsys):
+        for flag in ("--protocol=udp", "--compress"):
+            assert main(["push", "--topology", "t.json", "--code", "c", "--kind", "K", flag]) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_usage_error_opens_no_sockets(self, monkeypatch, capsys):
         def forbidden(*a, **kw):
             raise AssertionError("socket opened during a usage error")
@@ -176,3 +181,45 @@ class TestEndToEnd:
             b.stop()
         assert rc == 2
         assert "push first" in err
+
+    def test_launch_that_the_agency_refuses_is_exit_2(self, tmp_path, capsys):
+        from agentway.agency import CodeImage
+
+        b, ep_b = serve_agency(tmp_path, "remote")
+        code_file = tmp_path / "agent.bin"
+        code_file.write_bytes(b"\xfa\xce" * 100)
+        b.install_code(CodeImage.from_code("MAExample", code_file.read_bytes()))
+        origin_config = write_json(tmp_path / "origin.json", {"bind": "127.0.0.1:0"})  # no behaviors
+        try:
+            rc = main(["launch", "--config", origin_config, "--code", str(code_file),
+                       "--kind", "MAExample", "--itinerary", str(ep_b)])
+            err = capsys.readouterr().err
+        finally:
+            b.stop()
+        assert rc == 2
+        assert "error: no behavior registered for 'MAExample'" in err
+
+    def test_agent_that_fails_remotely_is_exit_2(self, tmp_path, capsys):
+        from agentway.agency import Behavior, CodeImage
+
+        def boom(state, ctx):
+            raise RuntimeError("kaboom")
+
+        b, ep_b = serve_agency(tmp_path, "remote")
+        schema = list(bench.optimised_record().fields)
+        b.register_behavior("MAExample", Behavior("boom", schema, boom, boom))
+        code_file = tmp_path / "agent.bin"
+        code_file.write_bytes(b"\xfa\xce" * 100)
+        b.install_code(CodeImage.from_code("MAExample", code_file.read_bytes()))
+        origin_config = write_json(tmp_path / "origin.json", {
+            "bind": "127.0.0.1:0",
+            "behaviors": [{"kind": "MAExample", "behavior": "collector"}],
+        })
+        try:
+            rc = main(["launch", "--config", origin_config, "--code", str(code_file),
+                       "--kind", "MAExample", "--itinerary", str(ep_b)])
+            err = capsys.readouterr().err
+        finally:
+            b.stop()
+        assert rc == 2
+        assert "agent failed: kaboom" in err

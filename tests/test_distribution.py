@@ -313,6 +313,40 @@ class TestPush:
             for a in agencies.values():
                 a.stop()
 
+    @pytest.mark.parametrize("refused, why", [
+        (FrameKind.CODE_PUSH, "refused the code: digest mismatch"),
+        (FrameKind.FORWARD_REQUEST, "refused: digest mismatch"),
+        (None, "unreachable: connection refused"),  # the relay is gone once it has the code
+    ])
+    def test_hosts_behind_a_relay_that_does_not_forward_are_reported(self, refused, why):
+        topo = three_segment_topology()
+        relay = topo.mdms["seg3"]
+        network, opts, agencies = live_cluster(topo, skip={relay.key})
+
+        def relay_handler(frame, source):
+            if frame.kind == refused:
+                nack = wire.ErrorPayload(wire.ERR_DIGEST_MISMATCH, "digest mismatch")
+                return Frame(FrameKind.ERROR, nack.encode())
+            if refused is None:
+                network.unregister(relay.key)
+            return Frame(FrameKind.ACK)
+
+        network.register(relay.key, relay_handler)
+        image = CodeImage.from_code("MAExample", b"\xf0" * 128)
+        try:
+            plan = plan_distribution(ALL_NINE, topo, "hierarchical")
+            report = push_code(plan, image, agencies[topo.manager.key].transport, opts, topo)
+            behind = [ep(3, 2).key, ep(3, 3).key]
+            relay_failed = [relay.key] if refused == FrameKind.CODE_PUSH else []
+            assert sorted(k for k, ok in report.acks.items() if not ok) == relay_failed + behind
+            assert len(report.acks) == 8
+            for key in behind:
+                assert report.errors[key].startswith(f"relay {relay} {why}")
+                assert agencies[key].lookup_code("MAExample") is None
+        finally:
+            for a in agencies.values():
+                a.stop()
+
     def test_tampered_image_refused_before_any_send(self):
         topo = three_segment_topology()
         image = CodeImage("MAExample", b"\x00" * 32, b"not matching")

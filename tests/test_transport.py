@@ -500,6 +500,41 @@ class TestTcpConnections:
             listener.close()
         assert set(threading.enumerate()) - before == set()
 
+    def test_replies_a_slow_reader_cannot_take_wait_for_writability(self):
+        """A client that reads nothing while it pipelines thousands of frames fills the
+        connection's small buffers; the listener keeps the rest of a reply and sends it
+        once the socket is writable, then answers the frames still waiting, in order."""
+        before = set(threading.enumerate())
+        answered = []
+
+        def handler(frame, source):
+            answered.append(frame)
+            return Frame(FrameKind.ACK, struct.pack(">I", len(answered) - 1))
+
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)  # accepted connections inherit it
+        sock.bind((LOOP, 0))
+        sock.listen(4)
+        listener = transport_module._TcpListener(sock, handler)
+        n = 3000
+        frames = wire.encode_frame(Frame(FrameKind.AGENT_TRANSFER)) * n  # 16 bytes each
+        with socket.socket() as client:
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
+            client.connect((LOOP, listener.endpoint_port))
+            client.settimeout(5)
+            writer = threading.Thread(target=client.sendall, args=(frames,))
+            try:
+                writer.start()
+                writer.join(timeout=5)
+                assert not writer.is_alive()
+                replies = [wire.decode_frame(read_frame_bytes(client)) for _ in range(n)]
+                assert len(set(threading.enumerate()) - before) == 1
+            finally:
+                listener.close()
+                writer.join(timeout=5)
+        assert all(reply.kind == FrameKind.ACK for reply in replies)
+        assert [struct.unpack(">I", reply.payload)[0] for reply in replies] == list(range(n))
+
     def test_connection_beyond_the_cap_is_closed(self, monkeypatch):
         monkeypatch.setattr(transport_module, "MAX_CONNECTIONS", 2)
         transport, listener, ep = serve_tcp()

@@ -11,13 +11,14 @@ the file's ``run_seconds``, makes a pair;
 the side that runs first alternates from seed to seed, so a drift in host
 speed does not favour either side. Both sides get identical arguments.
 
-The output file holds every run and, per workload and end-to-end metric, each
-side's median and quartiles, how many pairs the change won (ties count for
-neither side), whether the change shows a gain (it wins at least nine tenths
-of the pairs and its median beats the parent's by more than the distance
-between the parent's quartiles) and whether it is worse than the parent's
-median by more than the metric's bound. The exit code is 1 when a run failed
-or any metric is worse than its bound, else 0.
+The output file holds every run, each side's ``src/agentway`` line count
+(``src_lines``) and, per workload and end-to-end metric, each side's median
+and quartiles, how many pairs the change won (ties count for neither side),
+whether the change shows a gain (it wins at least nine tenths of the pairs and
+its median beats the parent's by more than the distance between the parent's
+quartiles) and whether it is worse than the parent's median by more than the
+metric's bound. The exit code is 1 when a run failed or any metric is worse
+than its bound, else 0.
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ def export_commit(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return sha
+
+
+def src_lines(checkout: Path) -> int:
+    """Physical lines of ``src/agentway/*.py`` in a checkout, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "agentway").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -151,6 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": seeds,
         "seconds": seconds,
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine()},
+        "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "failed_runs": failed,
         "worse_than_bound": worse,
         "summary": summary,
@@ -163,6 +170,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"change {m['change']['median']:12.4f} ({m['median_change_pct']:+6.1f}%) "
                   f"wins {m['change_wins']}/{m['pairs']}"
                   f"{'  GAIN' if m['gain_shown'] else ''}{'  WORSE' if m['worse_than_bound'] else ''}")
+    lines = doc["src_lines"]
+    print(f"src lines: parent {lines['parent']} change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     for line in failed:
         print(f"failed run: {line}")
     return 1 if failed or worse else 0
