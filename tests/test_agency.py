@@ -671,6 +671,7 @@ class TestOverUdp:
             record = StateRecord(kind_name="MAExample", fields=fields)
             agent_id = a.launch(record, [b.bind, a.bind])
             assert a.wait(agent_id, 1, 5.0).status == "completed"
+            assert b.wait(agent_id, 0, 5.0).status == "dispatched"  # logged once A acknowledged
             assert a.completions[agent_id]["data"] == ["b", "a"]
             assert not a.failures and not b.failures
         finally:
