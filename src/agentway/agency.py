@@ -28,6 +28,8 @@ log = logging.getLogger(__name__)
 DEFAULT_CACHE_ENTRIES = 64
 DEFAULT_CACHE_BYTES = 16 * 1024 * 1024
 HOP_LOG_RECORDS = 1024  # records an agency's hop log keeps; the oldest goes first
+COMPLETIONS_STATE_BYTES = 64 * 1024 * 1024  # admitted state the completions may hold
+ITINERARY_TABLE_CHARS = 64 * 1024  # itinerary text the parsed-itinerary table may hold
 
 
 class AgencyError(Exception):
@@ -179,6 +181,7 @@ class AgentInstance:
     behavior: Behavior
     hop_index: int
     decode_ns: int = 0  # measured at admission, for the hop's record
+    state_len: int = 0  # the admitted state image's inflated length
 
 
 @dataclass(slots=True)
@@ -203,8 +206,31 @@ def _bound(table: dict) -> None:
         del table[next(iter(table))]
 
 
+_itineraries: dict[tuple[tuple[str, ...], str], tuple[Endpoint, ...]] = {}
+_itinerary_chars = 0  # characters of itinerary text in the table's keys
+_itineraries_lock = threading.Lock()
+
+
 def itinerary_endpoints(state: StateRecord, protocol: str) -> list[Endpoint]:
-    return [parse_endpoint(entry, protocol) for entry in state.get("it")]
+    """The state's itinerary as endpoints, each itinerary parsed once.
+
+    Peers choose itineraries, so the table of parsed ones holds at most
+    ``ITINERARY_TABLE_CHARS`` characters of their text; the oldest goes first.
+    """
+    global _itinerary_chars
+    key = (tuple(state.get("it")), protocol)
+    stops = _itineraries.get(key)
+    if stops is None:
+        stops = tuple(parse_endpoint(entry, protocol) for entry in key[0])
+        with _itineraries_lock:
+            if key not in _itineraries:
+                _itineraries[key] = stops
+                _itinerary_chars += sum(map(len, key[0]))
+            while _itinerary_chars > ITINERARY_TABLE_CHARS:
+                oldest = next(iter(_itineraries))
+                del _itineraries[oldest]
+                _itinerary_chars -= sum(map(len, oldest[0]))
+    return list(stops)
 
 
 class Agency:
@@ -218,7 +244,9 @@ class Agency:
     real-socket mode, so read it there through a copy, ``list(agency.hops)``.
     ``failures`` maps an agent id to why it failed, here or as an ``ERROR``
     frame reported, and ``completions`` to what it brought home; each keeps
-    the newest ``HOP_LOG_RECORDS``. All three change under ``wait``'s condition.
+    the newest ``HOP_LOG_RECORDS``, and ``completions`` drops its oldest while
+    their admitted states came to over ``COMPLETIONS_STATE_BYTES``. All three
+    change under ``wait``'s condition.
     """
 
     def __init__(
@@ -241,6 +269,7 @@ class Agency:
         self._behaviors: dict[str, Behavior] = {}
         self._lock = threading.Condition()
         self.completions: dict[bytes, dict] = {}
+        self._completed_bytes = 0  # at least the "state_len" of every completion held
         self.failures: dict[bytes, str] = {}
         self.hops: deque[HopRecord] = deque(maxlen=HOP_LOG_RECORDS)
         self._listener = None
@@ -248,7 +277,7 @@ class Agency:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        self._listener = self.transport.serve(self.bind, self.opts, self.handle_frame)
+        self._listener = self.transport.serve(self.bind, self.handle_frame)
         if self.bind.port == 0:  # itineraries must name the port the system picked
             self.bind = Endpoint(self.bind.address, self._listener.endpoint_port, self.bind.protocol)
 
@@ -400,7 +429,8 @@ class Agency:
         except wire.WireError as exc:
             raise AdmissionError(wire.ERR_DECODE_FAILED, str(exc), agent_id)
         return AgentInstance(
-            agent_id, state, behavior, payload.hop_index, time.perf_counter_ns() - t0
+            agent_id, state, behavior, payload.hop_index, time.perf_counter_ns() - t0,
+            len(state_bytes),
         )
 
     def run_hop(self, instance: AgentInstance) -> HopRecord:
@@ -427,8 +457,9 @@ class Agency:
                     "data": list(data) if data is not None else [],
                     "state": instance.state,
                     "completed_ns": time.perf_counter_ns(),
+                    "state_len": instance.state_len,
                 }
-                _bound(self.completions)
+                self._bound_completions(instance.state_len)
                 self._lock.notify_all()
             return hop
         dest = itinerary[instance.hop_index + 1]
@@ -446,6 +477,20 @@ class Agency:
             self.hops.append(hop)
             self._lock.notify_all()
         return hop
+
+    def _bound_completions(self, added: int) -> None:
+        """Drop the oldest completions past ``HOP_LOG_RECORDS`` entries, then while
+        their states came to over ``COMPLETIONS_STATE_BYTES``, keeping the newest.
+        Callers pop entries, so the running total is recounted before it drops any.
+        The caller holds the agency's lock."""
+        _bound(self.completions)
+        self._completed_bytes += added
+        if self._completed_bytes <= COMPLETIONS_STATE_BYTES:
+            return
+        self._completed_bytes = sum(done["state_len"] for done in self.completions.values())
+        while self._completed_bytes > COMPLETIONS_STATE_BYTES and len(self.completions) > 1:
+            oldest = self.completions.pop(next(iter(self.completions)))
+            self._completed_bytes -= oldest["state_len"]
 
     def dispatch(self, instance: AgentInstance, dest: Endpoint) -> tuple[Receipt, int]:
         """Re-encode the agent's state and send it to the next itinerary stop."""

@@ -326,7 +326,7 @@ class ModeledTransport(_Transport):
         reply_bytes = self.network.deliver(endpoint.key, data, source)
         return reply_bytes, model.delay_s(len(data)) if model else 0.0
 
-    def serve(self, bind: Endpoint, opts: TransportOpts, handler: Handler) -> _InProcListener:
+    def serve(self, bind: Endpoint, handler: Handler) -> _InProcListener:
         self.network.register(bind.key, handler)
         return _InProcListener(self.network, bind.key)
 
@@ -725,7 +725,7 @@ class SocketTransport(_Transport):
                     raise TransportError(f"udp send to {endpoint} failed: {exc}") from exc
         raise TransportError(f"no ack from {endpoint} after retransmission")
 
-    def serve(self, bind: Endpoint, opts: TransportOpts, handler: Handler):
+    def serve(self, bind: Endpoint, handler: Handler):
         family = socket.AF_INET6 if ":" in bind.address else socket.AF_INET
         udp = bind.protocol == "udp"
         sock = None

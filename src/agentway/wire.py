@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import gzip
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Callable, Iterable
+from functools import partial
+from itertools import repeat
+from typing import Any, Callable, Iterable, Optional
 
 MAGIC = b"MAMP"
 VERSION = 1
@@ -72,64 +75,81 @@ class SchemaMismatchError(WireError):
 
 
 # ---------------------------------------------------------------------------
-# low-level readers/writers
+# readers and writers: a reader takes the data and an offset, and returns the
+# value it read with the offset just past it
 
+_U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _I32 = struct.Struct(">i")
-_I64 = struct.Struct(">q")
-_F64 = struct.Struct(">d")
+
+Read = Callable[[bytes, int], "tuple[Any, int]"]
 
 
-class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
+def _take(data: bytes, pos: int, n: int) -> tuple[bytes, int]:
+    if pos + n > len(data):
+        raise TruncatedError(f"need {n} bytes at offset {pos}, have {len(data) - pos}")
+    return data[pos : pos + n], pos + n
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedError(
-                f"need {n} bytes at offset {self.pos}, have {len(self.data) - self.pos}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
 
-    def unpack(self, fmt: struct.Struct) -> Any:
-        return fmt.unpack(self.take(fmt.size))[0]
+def _unpack(fmt: struct.Struct, data: bytes, pos: int) -> tuple[Any, int]:
+    """One fixed-width value, as ``partial(_unpack, fmt)`` reads it."""
+    if pos + fmt.size > len(data):
+        _take(data, pos, fmt.size)  # raises its TruncatedError
+    return fmt.unpack_from(data, pos)[0], pos + fmt.size
 
-    def u8(self) -> int:
-        return self.take(1)[0]
 
-    def u16(self) -> int:
-        return self.unpack(_U16)
+_u8, _u16, _u32, _i32 = (partial(_unpack, fmt) for fmt in (_U8, _U16, _U32, _I32))
 
-    def u32(self) -> int:
-        return self.unpack(_U32)
 
-    def utf8(self, n: int) -> str:
-        raw = self.take(n)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireError(f"invalid UTF-8 at offset {self.pos - n}") from exc
+def _text(data: bytes, pos: int, length: Read = _u16) -> tuple[str, int]:
+    """UTF-8 text after its byte length, which ``length`` reads."""
+    n, start = length(data, pos)
+    raw, end = _take(data, start, n)
+    try:
+        return raw.decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise WireError(f"invalid UTF-8 at offset {start}") from exc
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+
+def _blob(data: bytes, pos: int) -> tuple[bytes, int]:
+    return _take(data, pos + 4, _u32(data, pos)[0])
+
+
+_string = partial(_text, length=_u32)
+_digest, _agent_id = partial(_take, n=DIGEST_LEN), partial(_take, n=AGENT_ID_LEN)
+
+
+def _each(data: bytes, pos: int, readers: Iterable[Read]) -> tuple[list, int]:
+    """The values the readers read one after another."""
+    values = []
+    for read in readers:
+        value, pos = read(data, pos)
+        values.append(value)
+    return values, pos
+
+
+def _array(item: Read) -> Read:
+    """The reader of a u16 count and that many items."""
+    return lambda data, pos: _each(data, pos + 2, repeat(item, _u16(data, pos)[0]))
+
+
+def _array_bytes(item: Callable[[Any], bytes]) -> Callable[[list], bytes]:
+    """The encoder of a u16 count and that many items."""
+
+    def encode(values: list) -> bytes:
+        if len(values) > 0xFFFF:
+            raise WireError(f"array too long for u16 count: {len(values)} items")
+        return _U16.pack(len(values)) + b"".join([item(v) for v in values])
+
+    return encode
 
 
 def _u16_str(s: str) -> bytes:
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise WireError(f"string too long for u16 prefix: {len(raw)} bytes")
-    return struct.pack(">H", len(raw)) + raw
-
-
-def _u8_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    if not 1 <= len(raw) <= 255:
-        raise WireError(f"name must be 1-255 UTF-8 bytes, got {len(raw)}")
-    return struct.pack(">B", len(raw)) + raw
+    return _U16.pack(len(raw)) + raw
 
 
 def _u32_prefixed(raw: bytes) -> bytes:
@@ -138,51 +158,37 @@ def _u32_prefixed(raw: bytes) -> bytes:
     return _U32.pack(len(raw)) + raw
 
 
-def _u16_count(items: list) -> bytes:
-    if len(items) > 0xFFFF:
-        raise WireError(f"array too long for u16 count: {len(items)} items")
-    return _U16.pack(len(items))
-
-
 # ---------------------------------------------------------------------------
 # field types
 
 
 @dataclass(frozen=True)
 class FieldType:
-    """What a type tag means: its name in schema files, zero value, encoder and decoder."""
+    """A type tag's name in schema files, zero value, encoder, reader and struct code if fixed."""
 
     name: str
     zero: Any
     encode: Callable[[Any], bytes]
-    decode: Callable[[_Reader], Any]
+    decode: Read
+    fixed: str = ""
+
+
+def _fixed(name: str, zero: Any, code: str) -> FieldType:
+    fmt = struct.Struct(">" + code)
+    return FieldType(name, zero, fmt.pack, partial(_unpack, fmt), code)
 
 
 FIELD_TYPES: dict[TypeTag, FieldType] = {
-    TypeTag.BOOL: FieldType(
-        "bool", False, lambda v: b"\x01" if v else b"\x00", lambda r: r.u8() != 0
-    ),
-    TypeTag.INT32: FieldType("int32", 0, _I32.pack, lambda r: r.unpack(_I32)),
-    TypeTag.INT64: FieldType("int64", 0, _I64.pack, lambda r: r.unpack(_I64)),
-    TypeTag.FLOAT64: FieldType("float64", 0.0, _F64.pack, lambda r: r.unpack(_F64)),
-    TypeTag.STRING: FieldType(
-        "string", "", lambda v: _u32_prefixed(v.encode("utf-8")), lambda r: r.utf8(r.u32())
-    ),
+    TypeTag.BOOL: _fixed("bool", False, "?"),  # packs truthiness as 1 or 0; reads nonzero as True
+    TypeTag.INT32: _fixed("int32", 0, "i"),
+    TypeTag.INT64: _fixed("int64", 0, "q"),
+    TypeTag.FLOAT64: _fixed("float64", 0.0, "d"),
+    TypeTag.STRING: FieldType("string", "", lambda v: _u32_prefixed(v.encode("utf-8")), _string),
     TypeTag.STRING_ARRAY: FieldType(
-        "string[]",
-        [],
-        lambda v: _u16_count(v) + b"".join(_u32_prefixed(s.encode("utf-8")) for s in v),
-        lambda r: [r.utf8(r.u32()) for _ in range(r.u16())],
+        "string[]", [], _array_bytes(lambda v: _u32_prefixed(v.encode("utf-8"))), _array(_string)
     ),
-    TypeTag.BYTES: FieldType(
-        "bytes", b"", lambda v: _u32_prefixed(bytes(v)), lambda r: r.take(r.u32())
-    ),
-    TypeTag.INT32_ARRAY: FieldType(
-        "int32[]",
-        [],
-        lambda v: _u16_count(v) + b"".join(_I32.pack(n) for n in v),
-        lambda r: [r.unpack(_I32) for _ in range(r.u16())],
-    ),
+    TypeTag.BYTES: FieldType("bytes", b"", lambda v: _u32_prefixed(bytes(v)), _blob),
+    TypeTag.INT32_ARRAY: FieldType("int32[]", [], _array_bytes(_I32.pack), _array(_i32)),
 }
 TAG_BY_NAME = {t.name: tag for tag, t in FIELD_TYPES.items()}
 
@@ -223,15 +229,15 @@ def _own(value: Any) -> Any:
     return list(value) if isinstance(value, list) else value
 
 
+def _prefix(f: FieldDescriptor) -> bytes:
+    """What precedes a persistent field's value: its name (u8 length + UTF-8) and type tag."""
+    raw = f.name.encode("utf-8")
+    return bytes([len(raw)]) + raw + bytes([f.tag])
+
+
 def schema_hash(fields: Iterable[FieldDescriptor]) -> int:
     """CRC-32 over the ordered persistent field names and type tags."""
-    buf = bytearray()
-    for f in fields:
-        if f.transient:
-            continue
-        buf += _u8_str(f.name)
-        buf.append(int(f.tag))
-    return zlib.crc32(bytes(buf)) & 0xFFFFFFFF
+    return zlib.crc32(b"".join(_prefix(f) for f in fields if not f.transient)) & 0xFFFFFFFF
 
 
 @dataclass
@@ -269,77 +275,108 @@ class StateRecord:
         self.values[name] = value
 
     def copy(self) -> "StateRecord":
-        return StateRecord(
-            kind_name=self.kind_name,
-            namespace=self.namespace,
-            fields=list(self.fields),
-            values={k: _own(v) for k, v in self.values.items()},
-        )
+        values = {k: _own(v) for k, v in self.values.items()}
+        return StateRecord(self.kind_name, self.namespace, list(self.fields), values)
 
 
-def _state_layout(record: StateRecord) -> tuple[bytes, list[tuple[str, bytes]]]:
-    """The encoded header and each persistent field's encoding, in wire order.
+# ---------------------------------------------------------------------------
+# the state image, one codec compiled per schema: kind_name and namespace (each u16 len +
+# bytes), a tail of schema_hash (u32) and persistent field count (u16), then for each
+# persistent field a prefix of name (u8 len + bytes) and type tag (u8) before its value
 
-    Header: kind_name (u16 len + bytes), namespace (u16 len + bytes),
-    schema_hash (u32), persistent field count (u16). Field: name (u8 len +
-    bytes), type tag (u8), value encoding.
-    """
-    persistent = record.persistent_fields()
-    if len(persistent) > 0xFFFF:
-        raise WireError("too many persistent fields")
-    header = (
-        _u16_str(record.kind_name)
-        + _u16_str(record.namespace)
-        + _U32.pack(record.schema_hash())
-        + _U16.pack(len(persistent))
-    )
-    return header, [
-        (f.name, _u8_str(f.name) + bytes([f.tag]) + FIELD_TYPES[f.tag].encode(record.get(f.name)))
-        for f in persistent
-    ]
+CODEC_TABLE_ENTRIES = 256  # compiled schemas kept; the oldest compiled goes first
+_codecs: dict[tuple[int, ...], "_Codec"] = {}
+_codecs_lock = threading.Lock()
+
+
+class _Codec:
+    """One schema compiled: its hash and tail, each persistent field's prefix,
+    reader and writer, the transients' defaults, and the last header written."""
+
+    def __init__(self, fields: tuple[FieldDescriptor, ...]) -> None:
+        if len({f.name for f in fields}) != len(fields):
+            raise WireError("duplicate field names in record")
+        self.fields = fields  # held, so no other object takes their ids while this is cached
+        persistent = [f for f in fields if not f.transient]
+        if len(persistent) > 0xFFFF:
+            raise WireError("too many persistent fields")
+        self.hash = schema_hash(fields)
+        self.tail = _U32.pack(self.hash) + _U16.pack(len(persistent))
+        pairs = [(f, _prefix(f)) for f in persistent]
+        self.readers = [(prefix, f.name, FIELD_TYPES[f.tag].decode) for f, prefix in pairs]
+        self.writers = [(f.name, _writer(f, prefix)) for f, prefix in pairs]
+        self.defaults = [(f.name, f.default) for f in fields if f.transient]
+        self.head: Optional[tuple[str, str, bytes]] = None
+
+    def header(self, kind: str, namespace: str) -> bytes:
+        head = self.head
+        if head is None or head[0] != kind or head[1] != namespace:
+            head = self.head = (kind, namespace, _u16_str(kind) + _u16_str(namespace) + self.tail)
+        return head[2]
+
+
+def _writer(f: FieldDescriptor, prefix: bytes) -> Callable[[Any], bytes]:
+    """Encodes a value of field ``f`` with its prefix; a fixed-width one with one struct."""
+    ftype = FIELD_TYPES[f.tag]
+    if ftype.fixed:
+        return partial(struct.Struct(f">{len(prefix)}s{ftype.fixed}").pack, prefix)
+    return lambda value: prefix + ftype.encode(value)
+
+
+def _compiled(fields: list[FieldDescriptor]) -> _Codec:
+    """The schema's codec, keyed on its descriptors' ids, which it holds while cached."""
+    key = tuple(map(id, fields))
+    codec = _codecs.get(key)
+    if codec is None:
+        codec = _Codec(tuple(fields))
+        with _codecs_lock:
+            _codecs[key] = codec
+            while len(_codecs) > CODEC_TABLE_ENTRIES:
+                del _codecs[next(iter(_codecs))]
+    return codec
 
 
 def encode_state(record: StateRecord) -> bytes:
     """Serialize the persistent part of a record to its canonical bytes."""
-    header, fields = _state_layout(record)
-    return header + b"".join(encoded for _, encoded in fields)
+    codec, values = _compiled(record.fields), record.values
+    header = codec.header(record.kind_name, record.namespace)
+    return b"".join([header, *[write(values[name]) for name, write in codec.writers]])
 
 
 def peek_kind_name(data: bytes) -> str:
     """Read the kind name off the front of a state image without full decode."""
-    r = _Reader(data)
-    return r.utf8(r.u16())
+    return _text(data, 0)[0]
 
 
 def decode_state(data: bytes, schema: list[FieldDescriptor]) -> StateRecord:
     """Rebuild a record: persistent fields from the wire, transients at defaults."""
-    r = _Reader(data)
-    kind_name = r.utf8(r.u16())
-    namespace = r.utf8(r.u16())
-    embedded_hash = r.u32()
-    expected = schema_hash(schema)
-    if embedded_hash != expected:
+    codec = _compiled(schema)
+    kind, pos = _text(data, 0)
+    namespace, pos = _text(data, pos)
+    if not data.startswith(codec.tail, pos):  # the hash, else the count, differs
+        embedded, pos = _u32(data, pos)
+        if embedded != codec.hash:
+            raise SchemaMismatchError(f"schema hash 0x{embedded:08X} != expected "
+                                      f"0x{codec.hash:08X} (code/state version skew)")
         raise SchemaMismatchError(
-            f"schema hash 0x{embedded_hash:08X} != expected 0x{expected:08X} "
-            "(code/state version skew)"
-        )
-    count = r.u16()
-    persistent = [f for f in schema if not f.transient]
-    if count != len(persistent):
-        raise SchemaMismatchError(f"field count {count} != schema's {len(persistent)}")
+            f"field count {_u16(data, pos)[0]} != schema's {len(codec.readers)}")
+    pos += len(codec.tail)
     values: dict[str, Any] = {}
-    for f in persistent:
-        name = r.utf8(r.u8())
-        tag = r.u8()
-        ftype = FIELD_TYPES.get(tag)
-        if ftype is None:
-            raise WireError(f"unknown type tag 0x{tag:02X}")
-        if name != f.name or tag != f.tag:
-            raise SchemaMismatchError(f"field {name!r}/0x{tag:02X} does not match schema")
-        values[name] = ftype.decode(r)
-    if not r.done():
-        raise WireError(f"{len(data) - r.pos} trailing bytes after state image")
-    return StateRecord(kind_name=kind_name, namespace=namespace, fields=list(schema), values=values)
+    for prefix, name, read in codec.readers:
+        if not data.startswith(prefix, pos):  # the name or the tag differs
+            wire_name, pos = _text(data, pos, _u8)
+            tag = _u8(data, pos)[0]
+            if tag not in FIELD_TYPES:
+                raise WireError(f"unknown type tag 0x{tag:02X}")
+            raise SchemaMismatchError(f"field {wire_name!r}/0x{tag:02X} does not match schema")
+        values[name], pos = read(data, pos + len(prefix))
+    if pos != len(data):
+        raise WireError(f"{len(data) - pos} trailing bytes after state image")
+    for name, default in codec.defaults:
+        values[name] = _own(default)
+    record = StateRecord.__new__(StateRecord)  # the codec made __post_init__'s checks
+    vars(record).update(kind_name=kind, namespace=namespace, fields=list(schema), values=values)
+    return record
 
 
 @dataclass
@@ -351,9 +388,10 @@ class SizeBreakdown:
 
 def measure_state(record: StateRecord) -> SizeBreakdown:
     """Exact byte accounting of the encoded state, per field."""
-    header, fields = _state_layout(record)
-    per_field = {name: len(encoded) for name, encoded in fields}
-    return SizeBreakdown(len(header) + sum(per_field.values()), len(header), per_field)
+    codec = _compiled(record.fields)
+    header = len(codec.header(record.kind_name, record.namespace))
+    per_field = {name: len(write(record.values[name])) for name, write in codec.writers}
+    return SizeBreakdown(header + sum(per_field.values()), header, per_field)
 
 
 # ---------------------------------------------------------------------------
@@ -403,32 +441,32 @@ class Frame:
         return bool(self.flags & FLAG_COMPRESSED)
 
 
+_FRAME_HEADER = struct.Struct(">4sBBBxI")  # magic, version, kind, flags, reserved, payload_len
+
+
 def encode_frame(frame: Frame) -> bytes:
     if frame.kind not in FrameKind._value2member_map_:
         raise WireError(f"unsupported frame kind {frame.kind!r}")
-    header = MAGIC + bytes([VERSION, int(frame.kind), frame.flags, 0])
-    header += struct.pack(">I", len(frame.payload))
+    header = _FRAME_HEADER.pack(MAGIC, VERSION, frame.kind, frame.flags, len(frame.payload))
     crc = zlib.crc32(header + frame.payload) & 0xFFFFFFFF
-    return header + frame.payload + struct.pack(">I", crc)
+    return header + frame.payload + _U32.pack(crc)
 
 
 def decode_frame(data: bytes) -> Frame:
     if len(data) < FRAME_OVERHEAD:
         raise TruncatedError(f"frame needs at least {FRAME_OVERHEAD} bytes, got {len(data)}")
-    if data[:4] != MAGIC:
-        raise WireError(f"bad magic {data[:4]!r}")
-    version, kind, flags, reserved = data[4], data[5], data[6], data[7]
+    magic, version, kind, flags, payload_len = _FRAME_HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise WireError(f"bad magic {magic!r}")
     if version != VERSION:
         raise WireError(f"unsupported version {version}")
     if kind not in FrameKind._value2member_map_:
         raise WireError(f"unknown frame kind 0x{kind:02X}")
-    payload_len = struct.unpack(">I", data[8:12])[0]
     if len(data) != FRAME_OVERHEAD + payload_len:
-        raise TruncatedError(
-            f"frame length {len(data)} != {FRAME_OVERHEAD + payload_len} implied by header"
-        )
+        raise TruncatedError(f"frame length {len(data)} != {FRAME_OVERHEAD + payload_len} "
+                             "implied by header")
     payload = data[12 : 12 + payload_len]
-    crc = struct.unpack(">I", data[12 + payload_len :])[0]
+    crc = _U32.unpack_from(data, 12 + payload_len)[0]
     expected = zlib.crc32(data[: 12 + payload_len]) & 0xFFFFFFFF
     if crc != expected:
         raise WireError(f"crc mismatch: 0x{crc:08X} != 0x{expected:08X}")
@@ -448,20 +486,11 @@ class CodePushPayload:
     def encode(self) -> bytes:
         if len(self.digest) != DIGEST_LEN:
             raise WireError("digest must be 32 bytes")
-        return (
-            _u16_str(self.kind_name)
-            + self.digest
-            + struct.pack(">I", len(self.code))
-            + self.code
-        )
+        return _u16_str(self.kind_name) + self.digest + _u32_prefixed(self.code)
 
     @classmethod
     def decode(cls, data: bytes) -> "CodePushPayload":
-        r = _Reader(data)
-        kind_name = r.utf8(r.u16())
-        digest = r.take(DIGEST_LEN)
-        code = r.take(r.u32())
-        return cls(kind_name=kind_name, digest=digest, code=code)
+        return cls(*_each(data, 0, (_text, _digest, _blob))[0])
 
 
 @dataclass(frozen=True)
@@ -480,12 +509,8 @@ class AgentTransferPayload:
 
     @classmethod
     def decode(cls, data: bytes) -> "AgentTransferPayload":
-        r = _Reader(data)
-        agent_id = r.take(AGENT_ID_LEN)
-        digest = r.take(DIGEST_LEN)
-        hop_index = r.u16()
-        state = r.take(len(data) - r.pos)
-        return cls(agent_id=agent_id, digest=digest, hop_index=hop_index, state=state)
+        (agent_id, digest, hop_index), pos = _each(data, 0, (_agent_id, _digest, _u16))
+        return cls(agent_id=agent_id, digest=digest, hop_index=hop_index, state=data[pos:])
 
 
 @dataclass(frozen=True)
@@ -499,10 +524,7 @@ class ErrorPayload:
 
     @classmethod
     def decode(cls, data: bytes) -> "ErrorPayload":
-        r = _Reader(data)
-        code = r.u8()
-        agent_id = r.take(AGENT_ID_LEN)
-        message = r.utf8(r.u16())
+        code, agent_id, message = _each(data, 0, (_u8, _agent_id, _text))[0]
         return cls(code=code, message=message, agent_id=agent_id)
 
 
@@ -522,27 +544,15 @@ class ForwardRequestPayload:
     targets: tuple[ForwardTarget, ...]
 
     def encode(self) -> bytes:
-        out = bytearray(_u16_str(self.kind_name))
-        out += self.digest
-        out += struct.pack(">H", len(self.targets))
-        for t in self.targets:
-            out += _u16_str(t.address)
-            out += struct.pack(">H", t.port)
-            out += _u16_str(t.link_id)
-        return bytes(out)
+        return b"".join([_u16_str(self.kind_name), self.digest, _U16.pack(len(self.targets))] + [
+            _u16_str(t.address) + _U16.pack(t.port) + _u16_str(t.link_id) for t in self.targets
+        ])
 
     @classmethod
     def decode(cls, data: bytes) -> "ForwardRequestPayload":
-        r = _Reader(data)
-        kind_name = r.utf8(r.u16())
-        digest = r.take(DIGEST_LEN)
-        targets = []
-        for _ in range(r.u16()):
-            address = r.utf8(r.u16())
-            port = r.u16()
-            link_id = r.utf8(r.u16())
-            targets.append(ForwardTarget(address, port, link_id))
-        return cls(kind_name=kind_name, digest=digest, targets=tuple(targets))
+        target = _array(lambda d, p: _each(d, p, (_text, _u16, _text)))
+        kind_name, digest, targets = _each(data, 0, (_text, _digest, target))[0]
+        return cls(kind_name, digest, tuple(ForwardTarget(*t) for t in targets))
 
 
 @dataclass(frozen=True)
@@ -554,25 +564,15 @@ class ForwardResult:
 
 
 def encode_forward_results(results: list[ForwardResult]) -> bytes:
-    out = bytearray(struct.pack(">H", len(results)))
-    for res in results:
-        out += _u16_str(res.address)
-        out += struct.pack(">H", res.port)
-        out.append(1 if res.ok else 0)
-        out.append(res.error_code)
-    return bytes(out)
+    return _U16.pack(len(results)) + b"".join(
+        _u16_str(r.address) + _U16.pack(r.port) + bytes([1 if r.ok else 0, r.error_code])
+        for r in results
+    )
 
 
 def decode_forward_results(data: bytes) -> list[ForwardResult]:
-    r = _Reader(data)
-    results = []
-    for _ in range(r.u16()):
-        address = r.utf8(r.u16())
-        port = r.u16()
-        ok = r.u8() != 0
-        code = r.u8()
-        results.append(ForwardResult(address, port, ok, code))
-    return results
+    rows = _array(lambda d, p: _each(d, p, (_text, _u16, _u8, _u8)))(data, 0)[0]
+    return [ForwardResult(address, port, ok != 0, code) for address, port, ok, code in rows]
 
 
 # ---------------------------------------------------------------------------

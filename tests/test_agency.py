@@ -5,6 +5,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 import zlib
 
 import pytest
@@ -524,6 +525,34 @@ class TestHops:
         finally:
             cluster.stop()
 
+    def test_completions_hold_at_most_their_byte_cap_of_state(self, monkeypatch):
+        cap = 4 * 1024 * 1024
+        monkeypatch.setattr(agency_module, "COMPLETIONS_STATE_BYTES", cap)
+        cluster = Cluster(2)
+        schema = [FieldDescriptor("it", TypeTag.STRING_ARRAY), FieldDescriptor("s", TypeTag.STRING)]
+        img = CodeImage.from_code("MAExample", b"\xab" * 64)
+        cluster.install_everywhere(img, schema, behavior="pingpong")
+        target, source = cluster.endpoints[1], cluster.endpoints[0]
+        record = StateRecord("MAExample", "MAPack", schema, {"it": [str(target)], "s": "x" * 2**20})
+        state = wire.compress_payload(wire.encode_state(record))
+        assert len(state) < 1200  # about a thousand bytes held per byte received
+        unsolicited = [bytes([i]) * 16 for i in range(1, 33)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for agent_id in unsolicited:
+                payload = wire.AgentTransferPayload(agent_id, img.digest, 0, state)
+                frame = Frame(FrameKind.AGENT_TRANSFER, payload.encode(), wire.FLAG_COMPRESSED)
+                reply = cluster.network.deliver(target.key, wire.encode_frame(frame), source.key)
+                assert wire.decode_frame(reply).kind == FrameKind.ACK
+                cluster.network.run()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            cluster.stop()
+        assert held < cap + 1024 * 1024
+        assert list(cluster.agency(1).completions)[-1] == unsolicited[-1]  # the newest stays
+
     def test_retired_timing_report_kind_is_refused_and_leaves_nothing(self):
         cluster, record, img = make_cluster()
         try:
@@ -548,6 +577,71 @@ class TestHops:
                 cluster.agency(0).launch(record.copy(), [cluster.endpoints[1]])
         finally:
             cluster.stop()
+
+
+class TestItineraryTable:
+    def test_each_itinerary_is_parsed_once_per_protocol(self, monkeypatch):
+        parsed = []
+        parse = agency_module.parse_endpoint
+        monkeypatch.setattr(agency_module, "parse_endpoint",
+                            lambda text, protocol: parsed.append(text) or parse(text, protocol))
+        stops = ["10.99.0.1:1", "10.99.0.2:2"]
+        state = StateRecord("K", "", [FieldDescriptor("it", TypeTag.STRING_ARRAY)], {"it": stops})
+        first = agency_module.itinerary_endpoints(state, "udp")
+        again = agency_module.itinerary_endpoints(state, "udp")
+        assert first == again == [Endpoint("10.99.0.1", 1, "udp"), Endpoint("10.99.0.2", 2, "udp")]
+        assert parsed == stops
+        assert agency_module.itinerary_endpoints(state, "tcp")[0].protocol == "tcp"
+        assert parsed == stops + stops
+
+    def test_a_bad_stop_is_refused_every_time_and_not_kept(self):
+        state = StateRecord("K", "", [FieldDescriptor("it", TypeTag.STRING_ARRAY)],
+                            {"it": ["10.99.0.1:1", "no-port"]})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="address:port"):
+                agency_module.itinerary_endpoints(state, "tcp")
+
+    def test_the_table_holds_at_most_its_text_cap(self):
+        state = StateRecord("K", "", [FieldDescriptor("it", TypeTag.STRING_ARRAY)])
+        for i in range(10_000):
+            state.set("it", [f"10.{i >> 8}.{i & 0xFF}.7:{i}", "10.0.0.1:9000"])
+            assert agency_module.itinerary_endpoints(state, "tcp")[0].port == i
+            assert agency_module._itinerary_chars <= agency_module.ITINERARY_TABLE_CHARS
+        held = sum(len(stop) for stops, _ in agency_module._itineraries for stop in stops)
+        assert held == agency_module._itinerary_chars
+        assert len(agency_module._itineraries) < 10_000
+
+    def test_threads_keep_both_tables_bounded_and_counted(self, monkeypatch):
+        monkeypatch.setattr(agency_module, "ITINERARY_TABLE_CHARS", 2_000)
+        monkeypatch.setattr(wire, "CODEC_TABLE_ENTRIES", 8)
+        errors = []
+
+        def worker(n):
+            try:
+                for i in range(300):
+                    stops = [f"10.{n}.{i & 0xFF}.1:{i % 7}", "10.0.0.1:9000"]
+                    fields = [FieldDescriptor("it", TypeTag.STRING_ARRAY)]
+                    image = wire.encode_state(StateRecord("K", "", fields, {"it": stops}))
+                    state = wire.decode_state(image, fields)
+                    assert agency_module.itinerary_endpoints(state, "tcp")[0].port == i % 7
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []
+        held = sum(len(stop) for stops, _ in agency_module._itineraries for stop in stops)
+        assert held == agency_module._itinerary_chars <= 2_000
+        assert len(wire._codecs) <= 8
 
 
 class TestWait:

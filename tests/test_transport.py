@@ -31,10 +31,9 @@ def ack_handler(frame, source):
     return Frame(FrameKind.ACK)
 
 
-def serve_tcp(handler=ack_handler, opts=None):
+def serve_tcp(handler=ack_handler):
     transport = SocketTransport()
-    opts = opts or TransportOpts()
-    listener = transport.serve(Endpoint(LOOP, 0, "tcp"), opts, handler)
+    listener = transport.serve(Endpoint(LOOP, 0, "tcp"), handler)
     return transport, listener, Endpoint(LOOP, listener.endpoint_port, "tcp")
 
 
@@ -68,8 +67,7 @@ class TestModeledTransport:
         a = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"))
         b = ModeledTransport(net, Endpoint("10.0.0.2", 1, "tcp"))
         seen = []
-        b.serve(Endpoint("10.0.0.2", 1, "tcp"), TransportOpts(),
-                lambda f, s: (seen.append(f), Frame(FrameKind.ACK))[1])
+        b.serve(Endpoint("10.0.0.2", 1, "tcp"), lambda f, s: (seen.append(f), Frame(FrameKind.ACK))[1])
         receipt = a.send_frame(Endpoint("10.0.0.2", 1, "tcp"), Frame(FrameKind.ACK))
         assert receipt.ok and receipt.bytes_on_wire == 16
         assert seen == [Frame(FrameKind.ACK)]
@@ -81,7 +79,7 @@ class TestModeledTransport:
         ep = Endpoint("10.0.0.2", 1, "tcp")
         t = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"),
                              link_model=LinkModel(10_000_000, 0.001))
-        t.serve(ep, TransportOpts(), ack_handler)
+        t.serve(ep, ack_handler)
         frame = Frame(FrameKind.AGENT_TRANSFER, b"x" * (1000 - 16))  # 1000 bytes on the wire
         receipt = t.send_frame(ep, frame)
         assert receipt.bytes_on_wire == 1000
@@ -98,7 +96,7 @@ class TestModeledTransport:
         net = InProcNetwork()
         ep = Endpoint("10.0.0.2", 1, "udp")
         t = ModeledTransport(net, Endpoint("10.0.0.1", 1, "udp"))
-        t.serve(ep, TransportOpts(protocol="udp"), ack_handler)
+        t.serve(ep, ack_handler)
         with pytest.raises(OversizeError):
             t.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"x" * 70000))
         assert t.link_stats(ep).frames_sent == 0
@@ -109,7 +107,7 @@ class TestModeledTransport:
         ep = Endpoint("10.0.0.2", 1, "tcp")
         t = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"))
         seen = []
-        t.serve(ep, TransportOpts(), lambda f, s: (seen.append(f), Frame(FrameKind.ACK))[1])
+        t.serve(ep, lambda f, s: (seen.append(f), Frame(FrameKind.ACK))[1])
         assert t.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"x" * (1000 - 16))).ok
         with pytest.raises(OversizeError):
             t.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"x" * (1001 - 16)))
@@ -124,7 +122,7 @@ class TestModeledTransport:
         net = InProcNetwork()
         ep = Endpoint("10.0.0.2", 1, "tcp")
         t = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"))
-        t.serve(ep, TransportOpts(), ack_handler)
+        t.serve(ep, ack_handler)
         t.send_frame(ep, Frame(FrameKind.CODE_PUSH, b"c" * 1024))
         stats = t.link_stats(ep)
         assert stats.code_bytes_sent == 1024 and stats.state_bytes_sent == 0
@@ -137,7 +135,7 @@ class TestModeledTransport:
         net = InProcNetwork()
         ep = Endpoint("10.0.0.2", 1, "tcp")
         t = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"))
-        t.serve(ep, TransportOpts(), ack_handler)
+        t.serve(ep, ack_handler)
         t.send_frame(ep, Frame(FrameKind.CODE_PUSH, b"c" * 50))
         single = t.link_stats(ep)
         t.send_frame(ep, Frame(FrameKind.CODE_PUSH, b"c" * 50))
@@ -207,7 +205,7 @@ class TestTcpSockets:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", ResourceWarning)
                 with pytest.raises(TransportError, match="cannot bind"):
-                    transport.serve(ep, TransportOpts(), ack_handler)
+                    transport.serve(ep, ack_handler)
                 gc.collect()
             assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
         finally:
@@ -291,7 +289,7 @@ class TestUdpSockets:
     def test_ack_over_loopback(self):
         transport = SocketTransport()
         opts = TransportOpts(protocol="udp")
-        listener = transport.serve(Endpoint(LOOP, 0, "udp"), opts, ack_handler)
+        listener = transport.serve(Endpoint(LOOP, 0, "udp"), ack_handler)
         ep = Endpoint(LOOP, listener.endpoint_port, "udp")
         try:
             receipt = transport.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"state"), opts)
@@ -328,7 +326,7 @@ class TestUdpSockets:
 
         transport = SocketTransport()
         opts = TransportOpts(protocol="udp")
-        listener = transport.serve(Endpoint(LOOP, 0, "udp"), opts, ack_handler)
+        listener = transport.serve(Endpoint(LOOP, 0, "udp"), ack_handler)
         ep = Endpoint(LOOP, listener.endpoint_port, "udp")
         try:
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
@@ -345,7 +343,7 @@ def serve_modeled():
     net = InProcNetwork()
     transport = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"))
     ep = Endpoint("10.0.0.2", 1, "tcp")
-    return transport, transport.serve(ep, TransportOpts(), ack_handler), ep
+    return transport, transport.serve(ep, ack_handler), ep
 
 
 class TestAccounting:
@@ -378,7 +376,7 @@ class TestListenerClose:
         transport = SocketTransport()
         for protocol in ("tcp", "udp", "tcp", "udp", "tcp", "udp"):
             opts = TransportOpts(protocol=protocol)
-            listener = transport.serve(Endpoint(LOOP, 0, protocol), opts, ack_handler)
+            listener = transport.serve(Endpoint(LOOP, 0, protocol), ack_handler)
             if protocol == "udp":  # a UDP handler runs on the listener's own thread
                 ep = Endpoint(LOOP, listener.endpoint_port, "udp")
                 assert transport.send_frame(ep, Frame(FrameKind.ACK), opts).ok
@@ -438,7 +436,7 @@ class TestTcpConnections:
         transport, listener, ep = serve_tcp(handler)
         assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
         listener.close()  # the pooled connection's peer is gone
-        listener = transport.serve(ep, TransportOpts(), handler)
+        listener = transport.serve(ep, handler)
         try:
             assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
             assert len(sources) == 2 and sources[0] != sources[1]
@@ -608,7 +606,7 @@ class TestTcpConnections:
             release.wait(5)
             return Frame(FrameKind.ACK)
 
-        listener = SocketTransport().serve(Endpoint(LOOP, 0, "tcp"), TransportOpts(), handler)
+        listener = SocketTransport().serve(Endpoint(LOOP, 0, "tcp"), handler)
         ep = Endpoint(LOOP, listener.endpoint_port, "tcp")
         receipts = []
         sender = threading.Thread(target=lambda: receipts.append(transport.send_frame(ep, Frame(FrameKind.ACK))))

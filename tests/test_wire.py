@@ -139,6 +139,79 @@ class TestFieldTypes:
         assert first.get("seen") == declared + ["host1"]
 
 
+GOLDEN_FIELDS = [
+    FieldDescriptor("ok", TypeTag.BOOL),
+    FieldDescriptor("n32", TypeTag.INT32),
+    FieldDescriptor("n64", TypeTag.INT64),
+    FieldDescriptor("x", TypeTag.FLOAT64),
+    FieldDescriptor("s", TypeTag.STRING),
+    FieldDescriptor("it", TypeTag.STRING_ARRAY),
+    FieldDescriptor("blob", TypeTag.BYTES),
+    FieldDescriptor("ints", TypeTag.INT32_ARRAY),
+    FieldDescriptor("none", TypeTag.STRING_ARRAY),
+    FieldDescriptor("zero", TypeTag.INT32_ARRAY),
+    FieldDescriptor("seen", TypeTag.STRING_ARRAY, transient=True, default=["home"]),
+]
+GOLDEN_HEX = (
+    "00094d414578616d706c6500064d415061636baed9363b000a026f6b0101036e333202fffffffe036e3634"
+    "03fffffefffffffff9017804bff80000000000000173050000000e68c3a96c6c6f2c20e4b896e7958c0269"
+    "740600020000000d31302e302e302e323a3930303100000002c3a404626c6f62070000000200ff04696e74"
+    "73080002ffffffff7fffffff046e6f6e65060000047a65726f080000"
+)
+
+
+class TestGoldenBytes:
+    """One record over every type tag, pinned to the bytes the format has always had."""
+
+    def record(self):
+        return rec("MAExample", "MAPack", GOLDEN_FIELDS, {
+            "ok": True, "n32": -2, "n64": -(2**40) - 7, "x": -1.5, "s": "héllo, 世界",
+            "it": ["10.0.0.2:9001", "ä"], "blob": b"\x00\xff", "ints": [-1, 2**31 - 1],
+            "seen": ["elsewhere"],
+        })
+
+    def test_encodes_to_the_pinned_bytes_and_back(self):
+        data = wire.encode_state(self.record())
+        assert data.hex() == GOLDEN_HEX
+        out = wire.decode_state(data, GOLDEN_FIELDS)
+        assert (out.kind_name, out.namespace) == ("MAExample", "MAPack")
+        assert out.values == {**self.record().values, "seen": ["home"]}
+
+    def test_every_proper_prefix_is_a_wire_error(self):
+        data = bytes.fromhex(GOLDEN_HEX)
+        for n in range(len(data)):
+            with pytest.raises(WireError):
+                wire.decode_state(data[:n], GOLDEN_FIELDS)
+
+    def test_one_trailing_byte_is_a_wire_error(self):
+        with pytest.raises(WireError, match="1 trailing bytes"):
+            wire.decode_state(bytes.fromhex(GOLDEN_HEX) + b"\x00", GOLDEN_FIELDS)
+
+
+class TestCodecTable:
+    def test_holds_at_most_its_entries(self):
+        for i in range(1000):
+            fields = [  # a list default makes the descriptor unhashable
+                FieldDescriptor(f"f{i}", TypeTag.INT32),
+                FieldDescriptor("seen", TypeTag.STRING_ARRAY, transient=True, default=["home"]),
+            ]
+            out = wire.decode_state(wire.encode_state(rec(fields=fields, values={f"f{i}": -i})), fields)
+            assert out.values == {f"f{i}": -i, "seen": ["home"]}
+            assert len(wire._codecs) <= wire.CODEC_TABLE_ENTRIES
+
+    def test_equal_schemas_made_apart_decode_alike(self):
+        def schema():
+            return [FieldDescriptor("it", TypeTag.STRING_ARRAY), FieldDescriptor("hop", TypeTag.INT32)]
+
+        data = wire.encode_state(rec(fields=schema(), values={"it": ["a"], "hop": 2}))
+        assert wire.decode_state(data, schema()).values == {"it": ["a"], "hop": 2}
+
+    def test_a_duplicate_name_in_a_schema_is_refused(self):
+        data = wire.encode_state(rec(fields=[FieldDescriptor("a", TypeTag.INT32)]))
+        with pytest.raises(WireError, match="duplicate"):
+            wire.decode_state(data, [FieldDescriptor("a", TypeTag.INT32), FieldDescriptor("a", TypeTag.BOOL)])
+
+
 class TestMeasure:
     def test_string_value_shrink_is_exact(self):
         long = rec(fields=[FieldDescriptor("s", TypeTag.STRING)], values={"s": "x" * 20})
