@@ -180,6 +180,7 @@ class AgentInstance:
     state: StateRecord
     behavior: Behavior
     hop_index: int
+    image: CodeImage  # the code it was admitted or launched with; its digest travels on
     decode_ns: int = 0  # measured at admission, for the hop's record
     state_len: int = 0  # the admitted state image's inflated length
 
@@ -429,7 +430,7 @@ class Agency:
         except wire.WireError as exc:
             raise AdmissionError(wire.ERR_DECODE_FAILED, str(exc), agent_id)
         return AgentInstance(
-            agent_id, state, behavior, payload.hop_index, time.perf_counter_ns() - t0,
+            agent_id, state, behavior, payload.hop_index, image, time.perf_counter_ns() - t0,
             len(state_bytes),
         )
 
@@ -498,13 +499,10 @@ class Agency:
         state_bytes = wire.encode_state(instance.state)
         flags = 0
         if self.opts.compress:
-            state_bytes = wire.compress_payload(state_bytes, self.opts.compress_level)
+            state_bytes = wire.compress_payload(state_bytes)
             flags |= wire.FLAG_COMPRESSED
-        image = self.lookup_code(instance.state.kind_name)
-        if image is None:
-            raise AgencyError(f"local cache lost code for {instance.state.kind_name!r}")
         payload = wire.AgentTransferPayload(
-            instance.agent_id, image.digest, instance.hop_index + 1, state_bytes
+            instance.agent_id, instance.image.digest, instance.hop_index + 1, state_bytes
         )
         frame = Frame(FrameKind.AGENT_TRANSFER, payload.encode(), flags)
         encode_ns = time.perf_counter_ns() - t0
@@ -569,8 +567,12 @@ class Agency:
         if "it" not in record.values:
             raise AgencyError('record needs an "it" string-array field')
         record.set("it", [str(ep) for ep in itinerary])
+        behavior = self._require_behavior(record.kind_name)
+        image = self.lookup_code(record.kind_name)
+        if image is None:
+            raise AgencyError(f"no cached code for {record.kind_name!r}")
         agent_id = agent_id or os.urandom(16)
-        instance = AgentInstance(agent_id, record, self._require_behavior(record.kind_name), -1)
+        instance = AgentInstance(agent_id, record, behavior, -1, image)
         receipt, encode_ns = self.dispatch(instance, itinerary[0])
         error = None if receipt.ok else (
             f"launch refused with code {receipt.error_code}: {receipt.error_message}"

@@ -8,6 +8,7 @@ log level.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -58,7 +59,8 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", required=True)
     p.add_argument("--mode", choices=("flat", "hierarchical"), default="hierarchical")
     p.add_argument("--itinerary", help="comma-separated host:port list; default: all hosts")
-    _send_flags(p)  # the topology's endpoints choose TCP or UDP; code is never compressed
+    # the topology's endpoints choose TCP or UDP; code is never compressed
+    p.add_argument("--no-delay", action="store_true", default=None, dest="no_delay")
 
     p = sub.add_parser("launch", help="launch an agent along an itinerary")
     p.add_argument("--config", required=True, help="origin agency config")
@@ -93,12 +95,7 @@ def build_parser() -> _Parser:
 def _transport_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--protocol", choices=("tcp", "udp"))
     p.add_argument("--compress", action="store_true", default=None)
-    _send_flags(p)
-
-
-def _send_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-delay", action="store_true", default=None, dest="no_delay")
-    p.add_argument("--buffer-size", type=int, dest="buffer_size")
 
 
 def _load_json(path: str) -> dict:
@@ -108,7 +105,10 @@ def _load_json(path: str) -> dict:
 
 def _opts_from(doc: dict, args: argparse.Namespace) -> TransportOpts:
     merged = dict(doc.get("transport", {}))
-    for key in ("protocol", "compress", "no_delay", "buffer_size"):
+    unknown = sorted(merged.keys() - {f.name for f in dataclasses.fields(TransportOpts)})
+    if unknown:
+        raise UsageError(f'unknown "transport" key(s) in config: {", ".join(unknown)}')
+    for key in ("protocol", "compress", "no_delay"):
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value

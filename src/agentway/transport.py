@@ -72,17 +72,9 @@ def parse_endpoint(text: str, protocol: str = "tcp") -> Endpoint:
 class TransportOpts:
     protocol: str = "tcp"  # for parsing addresses (CLI, bench); an Endpoint carries its own
     no_delay: bool = False  # TCP only
-    buffer_size: int = 8192
     compress: bool = False
-    compress_level: int = 6
     ack_timeout_s: float = 0.5  # UDP: one retransmission after this, then error
-    connect_timeout_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.buffer_size < 1:
-            raise ValueError("buffer_size must be >= 1")
-        if not 0 <= self.compress_level <= 9:
-            raise ValueError("compress_level must be 0-9")
+    connect_timeout_s: float = 5.0  # TCP: also bounds each wait for the peer to take or send bytes
 
 
 @dataclass(frozen=True)
@@ -373,9 +365,13 @@ def read_frame_bytes(sock: socket.socket) -> bytes:
     return header + _read_exactly(sock, _frame_end(header) - _HEADER_BYTES)
 
 
-def _send_buffered(sock: socket.socket, data: bytes, buffer_size: int) -> None:
-    for off in range(0, len(data), buffer_size):
-        sock.sendall(data[off : off + buffer_size])
+def _send_whole(sock: socket.socket, data: bytes) -> None:
+    """Hand the kernel all of the frame it will take at each call: a frame cut
+    into writes waits on the peer's delayed ACK. The socket's timeout bounds
+    each call, not the whole frame, as in ``_read_exactly``."""
+    view = memoryview(data)
+    while view:
+        view = view[sock.send(view):]
 
 
 def _still_open(sock: socket.socket) -> bool:
@@ -699,7 +695,7 @@ class SocketTransport(_Transport):
         sock = sock or self._connect(endpoint, opts)
         try:
             sock.settimeout(opts.connect_timeout_s)
-            _send_buffered(sock, data, opts.buffer_size)
+            _send_whole(sock, data)
             reply = read_frame_bytes(sock)
         except OSError as exc:
             sock.close()

@@ -398,11 +398,9 @@ def measure_state(record: StateRecord) -> SizeBreakdown:
 # compression (RFC 1952 container)
 
 
-def compress_payload(data: bytes, level: int = 6) -> bytes:
-    if not 0 <= level <= 9:
-        raise ValueError(f"compression level must be 0-9, got {level}")
-    # mtime pinned so identical inputs give identical containers
-    return gzip.compress(data, compresslevel=level, mtime=0)
+def compress_payload(data: bytes) -> bytes:
+    # level 6, zlib's default; mtime pinned so identical inputs give identical containers
+    return gzip.compress(data, compresslevel=6, mtime=0)
 
 
 def decompress_payload(data: bytes) -> bytes:

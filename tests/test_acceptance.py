@@ -243,7 +243,7 @@ def test_06_codec_roundtrips():
         assert wire.encode_frame(wire.decode_frame(data)) == data  # bit-exact
     for _ in range(50):
         payload = rng.randbytes(rng.randint(0, 8192))
-        assert wire.decompress_payload(wire.compress_payload(payload, 6)) == payload
+        assert wire.decompress_payload(wire.compress_payload(payload)) == payload
 
 
 @criterion(7, "seven-phase accounting over 100 repetitions")

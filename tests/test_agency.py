@@ -239,7 +239,7 @@ class TestAdmission:
         cluster, record, img = make_cluster(opts=opts)
         try:
             record.set("it", ["10.0.0.2:9000", "10.0.0.1:9000"])
-            state = wire.compress_payload(wire.encode_state(record), 6)
+            state = wire.compress_payload(wire.encode_state(record))
             payload = wire.AgentTransferPayload(b"\x07" * 16, img.digest, 0, state)
             frame = Frame(FrameKind.AGENT_TRANSFER, payload.encode(), wire.FLAG_COMPRESSED)
             instance = cluster.agency(1).admit_agent(frame)
@@ -332,6 +332,30 @@ class TestHops:
             assert len(sent) < len(wire.encode_state(record))
             # the pingpong behavior bumps the persistent hop count once per arrival
             assert origin.completions[agent_id]["state"].values == {**record.values, "hop": 2}
+        finally:
+            cluster.stop()
+
+    def test_the_admitted_digest_travels_on(self):
+        """B swaps its copy of the kind mid-hop; the agent carries on with the digest
+        it was admitted with, which A, holding the original, accepts."""
+        from agentway.agency import Behavior
+
+        cluster, record, img = make_cluster()
+        try:
+            origin, agency_b = cluster.agency(0), cluster.agency(1)
+
+            def replace_code(state, ctx):
+                agency_b.install_code(CodeImage.from_code("MAExample", b"\xcd" * 64))
+
+            agency_b.register_behavior("MAExample", Behavior("swap", record.fields, replace_code, replace_code))
+            lookups = [agency.cache.hits + agency.cache.misses for agency in (origin, agency_b)]
+            agent_id = origin.launch(record, [cluster.endpoints[1], cluster.endpoints[0]])
+            cluster.network.run()
+            assert origin.wait(agent_id, 1, 0).status == "completed"
+            # one lookup at launch, one per admission
+            assert [agency.cache.hits + agency.cache.misses - n
+                    for agency, n in zip((origin, agency_b), lookups)] == [2, 1]
+            assert agency_b.lookup_code("MAExample").digest != img.digest
         finally:
             cluster.stop()
 
@@ -575,6 +599,18 @@ class TestHops:
         try:
             with pytest.raises(AgencyError, match="end at"):
                 cluster.agency(0).launch(record.copy(), [cluster.endpoints[1]])
+        finally:
+            cluster.stop()
+
+    def test_launch_without_code_sends_nothing(self):
+        cluster, record, img = make_cluster()
+        try:
+            origin = cluster.agency(0)
+            origin.cache = CodeCache()
+            with pytest.raises(AgencyError, match="no cached code for 'MAExample'"):
+                origin.launch(record, [cluster.endpoints[1], cluster.endpoints[0]])
+            assert origin.transport.total_stats().frames_sent == 0
+            assert not origin.hops
         finally:
             cluster.stop()
 

@@ -1,6 +1,8 @@
 import json
 import socket
 
+import pytest
+
 from agentway import bench
 from agentway.cli import main
 
@@ -21,10 +23,17 @@ class TestUsage:
     def test_missing_required_flag_is_exit_1(self, capsys):
         assert main(["push", "--topology", "x.json"]) == 1  # no --code/--kind
 
-    def test_push_takes_no_protocol_or_compress_flag(self, capsys):
-        for flag in ("--protocol=udp", "--compress"):
-            assert main(["push", "--topology", "t.json", "--code", "c", "--kind", "K", flag]) == 1
-            assert "unrecognized arguments" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["push", "--topology", "t.json", "--code", "c", "--kind", "K", "--protocol=udp"],
+        ["push", "--topology", "t.json", "--code", "c", "--kind", "K", "--compress"],
+        ["push", "--topology", "t.json", "--code", "c", "--kind", "K", "--buffer-size=1"],
+        ["serve", "--config", "c.json", "--buffer-size=1"],
+        ["launch", "--config", "c.json", "--kind", "K", "--itinerary", "10.0.0.1:1", "--buffer-size=1"],
+        ["bench-pingpong", "--buffer-size=1"],
+    ], ids=lambda argv: argv[0] + argv[-1].split("=")[0])
+    def test_flags_that_were_removed_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_usage_error_opens_no_sockets(self, monkeypatch, capsys):
         def forbidden(*a, **kw):
@@ -108,6 +117,15 @@ class TestConfigFiles:
         agency = cli._build_agency({"bind": "127.0.0.1:0", "cache_byte_limit": 5000}, args)
         agency.stop()
         assert (agency.cache.capacity, agency.cache.byte_limit) == (3, 5000)
+
+    def test_unknown_transport_keys_are_a_usage_error(self, tmp_path, capsys):
+        config = write_json(tmp_path / "bench.json", {
+            "repetitions": 1, "transport": {"buffer_size": 8192, "compress_level": 6, "no_delay": True},
+        })
+        assert main(["bench-pingpong", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith('error: unknown "transport" key(s) in config: buffer_size, compress_level')
+        assert "Traceback" not in err
 
 
 def serve_agency(tmp_path, name, port=0, behaviors=None):

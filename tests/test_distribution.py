@@ -1,4 +1,6 @@
 import random
+import statistics
+import time
 
 import pytest
 
@@ -13,7 +15,7 @@ from agentway.distribution import (
     push_code,
     resolve_itinerary,
 )
-from agentway.transport import Endpoint, InProcNetwork, ModeledTransport, TransportOpts
+from agentway.transport import Endpoint, InProcNetwork, ModeledTransport, SocketTransport, TransportOpts
 from agentway.wire import Frame, FrameKind
 
 
@@ -353,3 +355,34 @@ class TestPush:
         plan = plan_distribution(ALL_NINE, topo, "flat")
         with pytest.raises(Exception, match="digest"):
             push_code(plan, image, None, TransportOpts(), topo)
+
+
+class TestPushOverSockets:
+    def test_relayed_pushes_over_pooled_connections_wait_on_no_delayed_ack(self):
+        """A frame written in pieces waits for the peer's delayed ACK (about 40 ms
+        on Linux) before its last piece goes out. The relay sends to its three
+        hosts one after another, so such waits would add over 120 ms to a push."""
+        agencies = [Agency(name, Endpoint("127.0.0.1", 0), SocketTransport(), TransportOpts())
+                    for name in ("manager", "relay", "h1", "h2", "h3")]
+        pusher = SocketTransport()
+        try:
+            for agency in agencies:
+                agency.start()
+            manager, relay, *hosts = [agency.bind for agency in agencies]
+            topo = Topology(segments={"seg0": [manager], "seg1": [relay, *hosts]},
+                            manager=manager, mdms={"seg1": relay})
+            plan = plan_distribution([relay, *hosts], topo, "hierarchical")
+            code = random.Random(12).randbytes(12 * 1024)
+            times = []
+            for n in range(6):  # the first push opens the connections the others reuse
+                image = CodeImage.from_code(f"Kind{n}", code)
+                start = time.perf_counter()
+                report = push_code(plan, image, pusher, TransportOpts(), topo)
+                times.append(time.perf_counter() - start)
+                assert report.all_ok and len(report.acks) == 4
+            assert all(agency.lookup_code("Kind5") for agency in agencies[1:])
+            assert statistics.median(times[1:]) < 0.030
+        finally:
+            pusher.close()
+            for agency in agencies:
+                agency.stop()

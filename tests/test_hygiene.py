@@ -1,13 +1,15 @@
 """Static checks on the package source: no import is left unused, no broad
 exception handler swallows an error without a word, no module reads another's
-private names."""
+private names, no transport option goes unread."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import agentway
+from agentway.transport import TransportOpts
 
 PACKAGE = Path(agentway.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -156,3 +158,30 @@ def test_only_the_serve_loop_sleeps():
     found = [f"{path.stem}.{where}" for path in MODULES
              for where in sleeping_functions(path.read_text(encoding="utf-8"))]
     assert found == ["cli.cmd_serve"]
+
+
+def unread_options(names: list[str], sources: list[str]) -> list[str]:
+    """The ``names`` that no source reads as an attribute of something called
+    ``opts`` (``opts.x``, ``self.opts.x``, ``config.opts.x``)."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owner = node.value
+                if (isinstance(owner, ast.Name) and owner.id == "opts") or (
+                    isinstance(owner, ast.Attribute) and owner.attr == "opts"
+                ):
+                    read.add(node.attr)
+    return [name for name in names if name not in read]
+
+
+def test_the_scan_finds_an_option_nobody_reads():
+    sources = ["def f(opts):\n    return opts.a\n", "class C:\n    def g(self):\n        self.opts.b\n"]
+    assert unread_options(["a", "b", "c"], sources) == ["c"]
+    assert unread_options(["a"], ["def f(opts):\n    opts.a = 1\n"]) == ["a"]  # a write is not a read
+    assert unread_options(["a"], ["def f(other):\n    return other.a\n"]) == ["a"]
+
+
+def test_every_transport_option_is_read():
+    names = [f.name for f in dataclasses.fields(TransportOpts)]
+    assert unread_options(names, [path.read_text(encoding="utf-8") for path in MODULES]) == []

@@ -46,10 +46,6 @@ class TestEndpoint:
         ep = parse_endpoint("10.0.0.1:9000", "udp")
         assert (ep.address, ep.port, ep.protocol) == ("10.0.0.1", 9000, "udp")
 
-    def test_bad_opts(self):
-        with pytest.raises(ValueError):
-            TransportOpts(buffer_size=0)
-
 
 class TestLinkModel:
     def test_formula(self):
@@ -274,12 +270,22 @@ class TestTcpSockets:
             transport.close()
 
     def test_byte_by_byte_buffering_still_delivers(self):
-        transport, listener, ep = serve_tcp()
+        seen = []
+
+        def handler(frame, source):
+            seen.append(frame)
+            return Frame(FrameKind.ACK)
+
+        transport, listener, ep = serve_tcp(handler)
+        sent = Frame(FrameKind.AGENT_TRANSFER, b"x" * 300)
         try:
-            receipt = transport.send_frame(
-                ep, Frame(FrameKind.AGENT_TRANSFER, b"x" * 300), TransportOpts(buffer_size=1)
-            )
-            assert receipt.ok
+            with socket.create_connection(ep.key, timeout=5) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # each byte its own segment
+                for byte in wire.encode_frame(sent):
+                    assert sock.send(bytes([byte])) == 1
+                reply = wire.decode_frame(read_frame_bytes(sock))
+            assert reply.kind == FrameKind.ACK
+            assert seen == [sent]
         finally:
             listener.close()
             transport.close()
