@@ -9,6 +9,7 @@ format would plug in.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import ipaddress
 import logging
@@ -17,7 +18,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from . import wire
 from .transport import Endpoint, Receipt, TransportOpts, parse_endpoint
@@ -45,9 +46,19 @@ class AdmissionError(AgencyError):
 
 @dataclass(frozen=True)
 class CodeImage:
+    """A kind's code and its SHA-256 digest, both held as ``bytes``: a caller's
+    buffer is copied once, so the image cannot change after it is verified."""
+
     kind_name: str
     digest: bytes
     code: bytes
+    _verified: ClassVar[bool] = False  # an instance's own once verify() succeeds
+
+    def __post_init__(self) -> None:
+        for name in ("digest", "code"):
+            value = getattr(self, name)
+            if not isinstance(value, bytes):
+                object.__setattr__(self, name, bytes(value))
 
     @property
     def size_bytes(self) -> int:
@@ -55,11 +66,19 @@ class CodeImage:
 
     @classmethod
     def from_code(cls, kind_name: str, code: bytes) -> "CodeImage":
-        return cls(kind_name=kind_name, digest=hashlib.sha256(code).digest(), code=code)
+        code = bytes(code)  # hashed as held; bytes passes through uncopied
+        image = cls(kind_name=kind_name, digest=hashlib.sha256(code).digest(), code=code)
+        object.__setattr__(image, "_verified", True)  # its digest was just made from its code
+        return image
 
     def verify(self) -> None:
+        """Raise unless the code hashes to the digest. A success is remembered, so
+        each host hashes an image once; a failure is not."""
+        if self._verified:
+            return
         if hashlib.sha256(self.code).digest() != self.digest:
             raise AgencyError(f"digest mismatch for code image {self.kind_name!r}")
+        object.__setattr__(self, "_verified", True)
 
 
 @dataclass(frozen=True)
@@ -348,7 +367,7 @@ class Agency:
         image = self.lookup_code(req.kind_name)
         if image is None or image.digest != req.digest:
             return self._nack(wire.ERR_CODE_MISSING, f"no cached code for {req.kind_name!r}")
-        image.verify()  # a corrupted relay copy must not multiply downstream
+        image.verify()  # a corrupted copy must not multiply downstream; remembered from install
         push_frame = Frame(FrameKind.CODE_PUSH, wire.CodePushPayload(
             image.kind_name, image.digest, image.code).encode())
         results = []
@@ -371,16 +390,27 @@ class Agency:
                 )
         return Frame(FrameKind.ACK, wire.encode_forward_results(results))
 
+    @functools.cached_property
+    def _bind_kind(self) -> tuple[bool, bool]:
+        """Whether the bind address is a wildcard, and whether it is loopback; parsed
+        on first use, once, since ``start`` may change the port but never the address."""
+        bound = ipaddress.ip_address(self.bind.address)
+        return bound.is_unspecified, bound.is_loopback
+
     def _is_self(self, endpoint: Endpoint) -> bool:
         """Whether ``endpoint`` names this agency: its bind address, or a loopback
-        or wildcard alias of it on the same port."""
+        or wildcard alias of it on the same port. Only a wildcard or loopback bind
+        address has aliases, so only then is the target's address parsed."""
         if endpoint.port != self.bind.port:
             return False
         if endpoint.address == self.bind.address:
             return True
-        target, bound = ipaddress.ip_address(endpoint.address), ipaddress.ip_address(self.bind.address)
-        return (bound.is_unspecified and (target.is_loopback or target.is_unspecified)) or (
-            target.is_unspecified and bound.is_loopback
+        wildcard, loopback = self._bind_kind
+        if not (wildcard or loopback):
+            return False
+        target = ipaddress.ip_address(endpoint.address)
+        return (wildcard and (target.is_loopback or target.is_unspecified)) or (
+            target.is_unspecified and loopback
         )
 
     def _handle_transfer(self, frame: Frame) -> Frame:

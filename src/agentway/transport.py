@@ -200,9 +200,10 @@ class _Transport:
         opts: Optional[TransportOpts] = None,
         link: Optional[Link] = None,
     ) -> Receipt:
-        """Encode once, refuse an oversize frame or datagram before any side effect,
-        exchange, count the frame once, and turn the reply into a Receipt."""
-        data = wire.encode_frame(frame)
+        """Encode the frame once for all its sends, refuse an oversize frame or
+        datagram before any side effect, exchange, count the frame once, and
+        turn the reply into a Receipt."""
+        data = frame.encoded()
         limit = UDP_MAX_PAYLOAD if endpoint.protocol == "udp" else MAX_FRAME_BYTES
         if len(data) > limit:
             raise OversizeError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
 from itertools import repeat
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, ClassVar, Iterable, Optional
 
 MAGIC = b"MAMP"
 VERSION = 1
@@ -433,10 +433,22 @@ class Frame:
     kind: FrameKind
     payload: bytes = b""
     flags: int = 0
+    _encoded: ClassVar[Optional[bytes]] = None  # an instance's own once encoded() keeps it
 
     @property
     def compressed(self) -> bool:
         return bool(self.flags & FLAG_COMPRESSED)
+
+    def encoded(self) -> bytes:
+        """``encode_frame(self)``, made on first use and kept when the payload is
+        ``bytes``, which cannot change under it: a frame sent to many peers is
+        encoded once. A plain attribute, as ``cached_property`` locks."""
+        data = self._encoded
+        if data is None:
+            data = encode_frame(self)
+            if type(self.payload) is bytes:
+                object.__setattr__(self, "_encoded", data)
+        return data
 
 
 _FRAME_HEADER = struct.Struct(">4sBBBxI")  # magic, version, kind, flags, reserved, payload_len

@@ -38,8 +38,22 @@ class TestCodeImage:
 
     def test_verify_rejects_tampered_code(self):
         img = CodeImage("MA", hashlib.sha256(b"real").digest(), b"fake")
-        with pytest.raises(AgencyError, match="digest"):
+        for _ in range(2):  # a failed verify is not remembered
+            with pytest.raises(AgencyError, match="digest"):
+                img.verify()
+
+    def test_an_image_keeps_its_code_when_the_callers_buffer_changes(self):
+        buf = bytearray(b"original code")
+        made = CodeImage.from_code("MA", buf)
+        built = CodeImage("MA", bytearray(hashlib.sha256(buf).digest()), buf)
+        built.verify()
+        buf[:] = b"changed code!"
+        for img in (made, built):
+            assert img.code == b"original code" and type(img.code) is bytes
+            assert img.digest == hashlib.sha256(b"original code").digest()
             img.verify()
+        code = b"held as it is"
+        assert CodeImage.from_code("MA", code).code is code
 
 
 class TestCodeCache:
@@ -47,6 +61,14 @@ class TestCodeCache:
         cache = CodeCache(capacity=2)
         outcome = cache.install(image("A"))
         assert outcome.action == "stored" and outcome.evicted == ()
+
+    def test_a_tampered_image_is_refused_every_time(self):
+        cache = CodeCache()
+        img = CodeImage("A", hashlib.sha256(b"real").digest(), b"fake")
+        for _ in range(2):
+            with pytest.raises(AgencyError, match="digest"):
+                cache.install(img)
+        assert len(cache) == 0 and cache.lookup("A") is None
 
     def test_lookup_refreshes_lru_order(self):
         cache = CodeCache(capacity=2)
@@ -715,6 +737,41 @@ class TestWait:
         finally:
             sys.setswitchinterval(switch)
             cluster.stop()
+
+
+class TestRelaySelf:
+    """A relay refuses to forward to itself, named by its bind address or by a
+    loopback or wildcard alias of it on its port, and sends to any other target."""
+
+    @pytest.mark.parametrize("bind_address, target_address, port, is_self", [
+        ("127.0.0.1", "127.0.0.1", 9000, True),
+        ("0.0.0.0", "127.0.0.1", 9000, True),
+        ("0.0.0.0", "0.0.0.0", 9000, True),
+        ("0.0.0.0", "::1", 9000, True),
+        ("::", "127.0.0.1", 9000, True),
+        ("127.0.0.1", "0.0.0.0", 9000, True),
+        ("::1", "::", 9000, True),
+        ("0.0.0.0", "127.0.0.1", 9001, False),
+        ("127.0.0.1", "127.0.0.2", 9000, False),
+        ("10.0.0.1", "127.0.0.1", 9000, False),
+        ("10.0.0.1", "0.0.0.0", 9000, False),
+    ])
+    def test_forward_to_itself_or_an_alias_is_refused(self, bind_address, target_address, port, is_self):
+        network = InProcNetwork()
+        relay = Agency("relay", Endpoint(bind_address, 9000), ModeledTransport(network), TransportOpts())
+        img = image("Relayed", b"r" * 64)
+        relay.install_code(img)
+        relay.start()
+        request = wire.ForwardRequestPayload(
+            img.kind_name, img.digest, (wire.ForwardTarget(target_address, port, "seg"),))
+        try:
+            receipt = ModeledTransport(network).send_frame(
+                relay.bind, Frame(FrameKind.FORWARD_REQUEST, request.encode()))
+            [result] = wire.decode_forward_results(receipt.reply.payload)
+            assert not result.ok  # nobody listens at any target that is not the relay
+            assert result.error_code == (wire.ERR_BAD_FRAME if is_self else wire.ERR_INTERNAL)
+        finally:
+            relay.stop()
 
 
 def free_port():

@@ -1,7 +1,10 @@
-"""The pairing tool's arithmetic: seed lists, wins, the gain rule and the bound."""
+"""The pairing tool's arithmetic: seed lists, wins, the gain rule, the bound, and
+what a failed run leaves out."""
 
 import importlib.util
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -55,3 +58,40 @@ def test_src_lines_counts_newlines_of_the_package_modules_only(tmp_path):
     (package / "notes.txt").write_text("not\ncounted\n")
     (package / "sub" / "c.py").write_text("not\ncounted\n")
     assert bench_pairs.src_lines(tmp_path) == 5
+
+
+def test_a_failed_run_leaves_out_its_own_workload_only():
+    def good(values):
+        return [{**r, "exit_code": 0, "correct": True} for r in runs("op_p50_us", values)]
+
+    crashed = {"seed": 2, "exit_code": 1, "correct": False, "metrics": {}}
+    by_workload = {
+        "pingpong-tcp": {"parent": good([650, 660]), "change": [good([640])[0], crashed]},
+        "push-tree": {"parent": good([3500, 3600]), "change": good([3000, 3100])},
+    }
+    summary = bench_pairs.summarise([LATENCY], by_workload)
+    assert list(summary) == ["push-tree"]
+    assert summary["push-tree"]["op_p50_us"]["change_wins"] == 2
+
+
+def test_main_compares_the_workloads_that_ran_and_exits_1_on_a_failed_run(tmp_path, monkeypatch):
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in spec["end_to_end"]]
+
+    def run_once(checkout, workload, seed, seconds):  # the parent's second pingpong-tcp run fails
+        if workload == "pingpong-tcp" and seed == 2 and checkout != bench_pairs.ROOT:
+            return {"seed": seed, "exit_code": 1, "correct": False, "metrics": {}}
+        return {"seed": seed, "exit_code": 0, "correct": True,
+                "metrics": {name: {"value": 1.0} for name in names}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda rev, dest: "0" * 40)
+    head = SimpleNamespace(stdout="1" * 40 + "\n")  # what `git rev-parse HEAD` prints
+    monkeypatch.setattr(bench_pairs, "subprocess", SimpleNamespace(run=lambda *args, **kwargs: head))
+    out = tmp_path / "BENCH.json"
+    code = bench_pairs.main(["--parent", "HEAD", "--seeds", "1-2", "--workdir", str(tmp_path),
+                             "--out", str(out)])
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert code == 1
+    assert doc["failed_runs"] == ["pingpong-tcp parent seed 2"]
+    assert sorted(doc["summary"]) == sorted(w["name"] for w in spec["workloads"] if w["name"] != "pingpong-tcp")

@@ -1,3 +1,5 @@
+import hashlib
+import ipaddress
 import random
 import statistics
 import time
@@ -348,6 +350,55 @@ class TestPush:
         finally:
             for a in agencies.values():
                 a.stop()
+
+    def test_a_push_encodes_a_code_frame_once_per_sender_and_hashes_once_per_host(self, monkeypatch):
+        """3 segments of 4 hosts: the manager pushes to 5 targets and each relay to 3.
+        Each of the 11 receivers hashes the image once; the pusher's ``from_code``
+        image needs no second hash. Each of the 3 senders encodes its frame once."""
+        topo = Topology(
+            segments={f"seg{s}": [ep(s, h) for h in range(1, 5)] for s in (1, 2, 3)},
+            manager=ep(1, 1),
+            mdms={"seg2": ep(2, 1), "seg3": ep(3, 1)},
+        )
+        network, opts, agencies = live_cluster(topo)
+        image = CodeImage.from_code("MAExample", random.Random(10).randbytes(64 * 1024))
+        received: dict[tuple[str, int], list[Frame]] = {}
+
+        def tap(key, frame):
+            if frame.kind == FrameKind.CODE_PUSH:
+                received.setdefault(key, []).append(frame)
+
+        network.add_tap(tap)
+        calls = {"sha256": 0, "encode": 0, "ip_address": 0}
+        sha256, encode_frame, ip_address = hashlib.sha256, wire.encode_frame, ipaddress.ip_address
+
+        def counted(name, fn, only=lambda *args: True):
+            def call(*args):
+                if only(*args):
+                    calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(hashlib, "sha256", counted("sha256", sha256))
+        monkeypatch.setattr(wire, "encode_frame", counted(
+            "encode", encode_frame, lambda frame: frame.kind == FrameKind.CODE_PUSH))
+        monkeypatch.setattr(ipaddress, "ip_address", counted("ip_address", ip_address))
+        try:
+            hosts = [host for seg_hosts in topo.segments.values() for host in seg_hosts]
+            plan = plan_distribution(hosts, topo, "hierarchical")
+            report = push_code(plan, image, agencies[topo.manager.key].transport, opts, topo)
+        finally:
+            monkeypatch.undo()
+            for a in agencies.values():
+                a.stop()
+        assert report.all_ok and len(report.acks) == 11
+        assert (calls["sha256"], calls["encode"]) == (11, 3)
+        # one per relay target, in Endpoint's check, and each relay's bind address on
+        # its first forward (18 before: the bind address and the target again per target)
+        assert calls["ip_address"] == 8
+        assert sorted(received) == sorted(key for key in agencies if key != topo.manager.key)
+        sent = {encode_frame(frame) for frames in received.values() for frame in frames}
+        assert sum(map(len, received.values())) == 11 and len(sent) == 1
 
     def test_tampered_image_refused_before_any_send(self):
         topo = three_segment_topology()

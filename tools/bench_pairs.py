@@ -17,8 +17,10 @@ and quartiles, how many pairs the change won (ties count for neither side),
 whether the change shows a gain (it wins at least nine tenths of the pairs and
 its median beats the parent's by more than the distance between the parent's
 quartiles) and whether it is worse than the parent's median by more than the
-metric's bound. The exit code is 1 when a run failed or any metric is worse
-than its bound, else 0.
+metric's bound. A workload with a failed run on either side is listed under
+``failed_runs`` and left out of the summary; the other workloads are still
+compared. The exit code is 1 when a run failed or any metric is worse than its
+bound, else 0.
 """
 
 from __future__ import annotations
@@ -109,6 +111,20 @@ def compare(metric: dict, parent_runs: list[dict], change_runs: list[dict]) -> d
     }
 
 
+def run_failed(run: dict) -> bool:
+    return run["exit_code"] != 0 or not run.get("correct")
+
+
+def summarise(metrics: list[dict], runs: dict[str, dict[str, list[dict]]]) -> dict:
+    """Every metric compared on each workload whose runs all succeeded, on both
+    sides; a failed run leaves out its own workload only."""
+    return {
+        w: {m["name"]: compare(m, by_side["parent"], by_side["change"]) for m in metrics}
+        for w, by_side in runs.items()
+        if not any(run_failed(r) for rs in by_side.values() for r in rs)
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against, e.g. HEAD")
@@ -139,14 +155,9 @@ def main(argv: list[str] | None = None) -> int:
 
     failed = [
         f"{w} {side} seed {r['seed']}"
-        for w, by_side in runs.items() for side, rs in by_side.items() for r in rs
-        if r["exit_code"] != 0 or not r.get("correct")
+        for w, by_side in runs.items() for side, rs in by_side.items() for r in rs if run_failed(r)
     ]
-    summary = {}
-    if not failed:
-        for w, by_side in runs.items():
-            summary[w] = {m["name"]: compare(m, by_side["parent"], by_side["change"])
-                          for m in spec["end_to_end"]}
+    summary = summarise(spec["end_to_end"], runs)
     worse = [f"{w} {name}" for w, ms in summary.items() for name, m in ms.items() if m["worse_than_bound"]]
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
