@@ -253,6 +253,13 @@ def itinerary_endpoints(state: StateRecord, protocol: str) -> list[Endpoint]:
     return list(stops)
 
 
+_PAYLOADS = {  # each kind an agency takes besides a transfer: its payload codec, its name in a NACK
+    FrameKind.CODE_PUSH: (wire.CodePushPayload, "code push"),
+    FrameKind.FORWARD_REQUEST: (wire.ForwardRequestPayload, "forward request"),
+    FrameKind.ERROR: (wire.ErrorPayload, "error report"),
+}
+
+
 class Agency:
     """One host's runtime: listener, code cache, behavior registry, completions.
 
@@ -324,70 +331,57 @@ class Agency:
     # -- frame handling ----------------------------------------------------
 
     def handle_frame(self, frame: Frame, source: tuple) -> Frame:
-        if frame.kind == FrameKind.CODE_PUSH:
-            return self._handle_code_push(frame)
-        if frame.kind == FrameKind.FORWARD_REQUEST:
-            return self._handle_forward_request(frame)
+        """Answer one frame with an ACK or a ``wire.nack``. A transfer goes to admission;
+        any other kind's payload is decoded here, under one guard, and then handled."""
         if frame.kind == FrameKind.AGENT_TRANSFER:
             return self._handle_transfer(frame)
-        if frame.kind == FrameKind.ERROR:
-            err = wire.ErrorPayload.decode(frame.payload)
-            log.warning("agent %s: failure reported by %s: %s",
-                        err.agent_id.hex(), source, err.message)
-            with self._lock:
-                self.failures[err.agent_id] = err.message
-                _bound(self.failures)
-                self._lock.notify_all()
-            return Frame(FrameKind.ACK)
-        return Frame(
-            FrameKind.ERROR,
-            wire.ErrorPayload(wire.ERR_BAD_FRAME, f"unexpected kind {frame.kind}").encode(),
-        )
-
-    def _nack(self, code: int, message: str, agent_id: bytes = b"\x00" * 16) -> Frame:
-        return Frame(FrameKind.ERROR, wire.ErrorPayload(code, message, agent_id).encode())
-
-    def _handle_code_push(self, frame: Frame) -> Frame:
+        if frame.kind not in _PAYLOADS:
+            return wire.nack(wire.ERR_BAD_FRAME, f"unexpected kind {frame.kind}")
+        codec, what = _PAYLOADS[frame.kind]
         try:
-            push = wire.CodePushPayload.decode(frame.payload)
+            payload = codec.decode(frame.payload)
         except wire.WireError as exc:
-            return self._nack(wire.ERR_DECODE_FAILED, f"bad code push: {exc}")
-        image = CodeImage(push.kind_name, push.digest, push.code)
+            return wire.nack(wire.ERR_DECODE_FAILED, f"bad {what}: {exc}")
+        if frame.kind == FrameKind.CODE_PUSH:
+            return self._install_pushed(payload)
+        if frame.kind == FrameKind.FORWARD_REQUEST:
+            return self._forward(payload)
+        return self._record_report(payload, source)
+
+    def _record_report(self, err: wire.ErrorPayload, source: tuple) -> Frame:
+        log.warning("agent %s: failure reported by %s: %s", err.agent_id.hex(), source, err.message)
+        self._record(err.agent_id, failure=err.message)
+        return wire.ACK
+
+    def _install_pushed(self, push: wire.CodePushPayload) -> Frame:
         try:
-            self.install_code(image)
+            self.install_code(CodeImage(push.kind_name, push.digest, push.code))
         except AgencyError as exc:
-            return self._nack(wire.ERR_DIGEST_MISMATCH, str(exc))
-        return Frame(FrameKind.ACK)
+            return wire.nack(wire.ERR_DIGEST_MISMATCH, str(exc))
+        return wire.ACK
 
-    def _handle_forward_request(self, frame: Frame) -> Frame:
-        try:
-            req = wire.ForwardRequestPayload.decode(frame.payload)
-        except wire.WireError as exc:
-            return self._nack(wire.ERR_DECODE_FAILED, f"bad forward request: {exc}")
+    def _forward(self, req: wire.ForwardRequestPayload) -> Frame:
+        """Send the cached image on to each target; each target gets its own result."""
         image = self.lookup_code(req.kind_name)
         if image is None or image.digest != req.digest:
-            return self._nack(wire.ERR_CODE_MISSING, f"no cached code for {req.kind_name!r}")
+            return wire.nack(wire.ERR_CODE_MISSING, f"no cached code for {req.kind_name!r}")
         image.verify()  # a corrupted copy must not multiply downstream; remembered from install
         push_frame = Frame(FrameKind.CODE_PUSH, wire.CodePushPayload(
             image.kind_name, image.digest, image.code).encode())
         results = []
         for target in req.targets:
-            endpoint = Endpoint(target.address, target.port, self.bind.protocol)
-            if self._is_self(endpoint):  # this relay already holds the code
-                results.append(
-                    wire.ForwardResult(target.address, target.port, False, wire.ERR_BAD_FRAME)
-                )
-                continue
-            link = self.topology.links.get(target.link_id) if self.topology else None
+            ok, code = False, wire.ERR_BAD_FRAME  # a target that is no IP literal, or this relay
             try:
-                receipt = self.transport.send_frame(endpoint, push_frame, self.opts, link=link)
-                results.append(
-                    wire.ForwardResult(target.address, target.port, receipt.ok, receipt.error_code)
-                )
-            except Exception:
-                results.append(
-                    wire.ForwardResult(target.address, target.port, False, wire.ERR_INTERNAL)
-                )
+                endpoint = Endpoint(target.address, target.port, self.bind.protocol)
+                if not self._is_self(endpoint):  # this relay already holds the code
+                    code = wire.ERR_INTERNAL
+                    link = self.topology.links.get(target.link_id) if self.topology else None
+                    receipt = self.transport.send_frame(endpoint, push_frame, self.opts, link=link)
+                    ok, code = receipt.ok, receipt.error_code
+            except Exception as exc:
+                log.warning("relay %s: %r not forwarded to %s:%d: %r",
+                            self.bind, req.kind_name, target.address, target.port, exc)
+            results.append(wire.ForwardResult(target.address, target.port, ok, code))
         return Frame(FrameKind.ACK, wire.encode_forward_results(results))
 
     @functools.cached_property
@@ -417,11 +411,10 @@ class Agency:
         try:
             instance = self.admit_agent(frame)
         except AdmissionError as exc:
-            return self._nack(exc.code, str(exc), exc.agent_id)
-        if instance is None:  # probe: code present, nothing instantiated
-            return Frame(FrameKind.ACK)
-        self.transport.defer(lambda: self.run_hop(instance))
-        return Frame(FrameKind.ACK)
+            return wire.nack(exc.code, str(exc), exc.agent_id)
+        if instance is not None:  # None for a probe: code present, nothing instantiated
+            self.transport.defer(lambda: self.run_hop(instance))
+        return wire.ACK
 
     # -- admission and execution -------------------------------------------
 
@@ -482,16 +475,12 @@ class Agency:
         if instance.hop_index >= len(itinerary) - 1:
             hop.status = "completed"
             data = instance.state.values.get("data")
-            with self._lock:
-                self.hops.append(hop)
-                self.completions[instance.agent_id] = {
-                    "data": list(data) if data is not None else [],
-                    "state": instance.state,
-                    "completed_ns": time.perf_counter_ns(),
-                    "state_len": instance.state_len,
-                }
-                self._bound_completions(instance.state_len)
-                self._lock.notify_all()
+            self._record(instance.agent_id, hop, completion={
+                "data": list(data) if data is not None else [],
+                "state": instance.state,
+                "completed_ns": time.perf_counter_ns(),
+                "state_len": instance.state_len,
+            })
             return hop
         dest = itinerary[instance.hop_index + 1]
         try:
@@ -504,10 +493,23 @@ class Agency:
                 hop, f"hop refused with code {receipt.error_code}: {receipt.error_message}", origin
             )
         hop.status = "dispatched"
-        with self._lock:
-            self.hops.append(hop)
-            self._lock.notify_all()
+        self._record(hop.agent_id, hop)
         return hop
+
+    def _record(self, agent_id: bytes, hop: Optional[HopRecord] = None,
+                failure: Optional[str] = None, completion: Optional[dict] = None) -> None:
+        """Under the lock, log ``hop``, keep the agent's first failure and its
+        completion, each table within its bound, and wake every ``wait``."""
+        with self._lock:
+            if hop is not None:
+                self.hops.append(hop)
+            if failure is not None:
+                self.failures.setdefault(agent_id, failure)
+                _bound(self.failures)
+            if completion is not None:
+                self.completions[agent_id] = completion
+                self._bound_completions(completion["state_len"])
+            self._lock.notify_all()
 
     def _bound_completions(self, added: int) -> None:
         """Drop the oldest completions past ``HOP_LOG_RECORDS`` entries, then while
@@ -544,16 +546,12 @@ class Agency:
         """Record a failed hop here, in ``failures`` and the hop log, and tell the
         origin unless it is this agency or unknown."""
         hop.error = message
-        with self._lock:
-            self.failures.setdefault(hop.agent_id, message)
-            _bound(self.failures)
-            self.hops.append(hop)
-            self._lock.notify_all()
+        self._record(hop.agent_id, hop, failure=message)
         if origin is None or origin.key == self.bind.key:
             return hop
-        report = wire.ErrorPayload(wire.ERR_INTERNAL, message, hop.agent_id)
         try:
-            self.transport.send_frame(origin, Frame(FrameKind.ERROR, report.encode()), self.opts)
+            self.transport.send_frame(origin, wire.nack(wire.ERR_INTERNAL, message, hop.agent_id),
+                                      self.opts)
         except Exception as exc:  # the failure stays recorded here
             log.warning("agent %s hop %d: failure report to %s not sent (%s): %r",
                         hop.agent_id.hex(), hop.hop_index, origin, message, exc)
@@ -607,12 +605,10 @@ class Agency:
         error = None if receipt.ok else (
             f"launch refused with code {receipt.error_code}: {receipt.error_message}"
         )
-        with self._lock:
-            self.hops.append(HopRecord(
-                agent_id, -1, "failed" if error else "launched", error, encode_ns=encode_ns,
-                send_ns=int(receipt.send_duration_s * 1e9), send_bytes=receipt.bytes_on_wire,
-            ))
-            self._lock.notify_all()
+        self._record(agent_id, HopRecord(
+            agent_id, -1, "failed" if error else "launched", error, encode_ns=encode_ns,
+            send_ns=int(receipt.send_duration_s * 1e9), send_bytes=receipt.bytes_on_wire,
+        ))
         if error:
             raise AgencyError(error)
         return agent_id

@@ -154,36 +154,25 @@ class StatsRegistry:
 class Receipt:
     bytes_on_wire: int
     send_duration_s: float
-    ack_status: str  # "ack" | "error"
-    error_code: int = 0
+    reply: Frame
+    error_code: int = 0  # an ERROR reply's code and message
     error_message: str = ""
-    reply: Optional[Frame] = None
 
     @property
     def ok(self) -> bool:
-        return self.ack_status == "ack"
-
-
-def _reply_to_receipt(reply: Frame, bytes_on_wire: int, duration_s: float) -> Receipt:
-    if reply.kind == FrameKind.ERROR:
-        err = wire.ErrorPayload.decode(reply.payload)
-        return Receipt(bytes_on_wire, duration_s, "error", err.code, err.message, reply)
-    return Receipt(bytes_on_wire, duration_s, "ack", reply=reply)
-
-
-def _error_reply(code: int, message: str) -> bytes:
-    return wire.encode_frame(Frame(FrameKind.ERROR, wire.ErrorPayload(code, message).encode()))
+        return self.reply.kind == FrameKind.ACK
 
 
 def _handle_raw(handler: Handler, data: bytes, source: tuple) -> bytes:
     try:
         frame = wire.decode_frame(data)
     except wire.WireError as exc:
-        return _error_reply(wire.ERR_BAD_FRAME, str(exc))
+        return wire.nack(wire.ERR_BAD_FRAME, str(exc)).encoded()
     try:
-        return wire.encode_frame(handler(frame, source))
+        return handler(frame, source).encoded()
     except Exception as exc:  # handler errors become ERROR frames, never crashes
-        return _error_reply(wire.ERR_INTERNAL, f"handler failed: {exc}")
+        log.exception("handler failed on a %s frame from %s", frame.kind.name, source)
+        return wire.nack(wire.ERR_INTERNAL, f"handler failed: {exc}").encoded()
 
 
 class _Transport:
@@ -211,7 +200,11 @@ class _Transport:
             )
         reply_bytes, duration_s = self._exchange(endpoint, data, opts, link)
         self.stats.record(endpoint.key, link, frame, len(data))
-        return _reply_to_receipt(wire.decode_frame(reply_bytes), len(data), duration_s)
+        reply = wire.decode_frame(reply_bytes)
+        if reply.kind == FrameKind.ERROR:
+            err = wire.ErrorPayload.decode(reply.payload)
+            return Receipt(len(data), duration_s, reply, err.code, err.message)
+        return Receipt(len(data), duration_s, reply)
 
     def link_stats(self, peer: Endpoint | tuple[str, int]) -> LinkStats:
         return self.stats.for_peer(peer.key if isinstance(peer, Endpoint) else peer)
@@ -535,7 +528,7 @@ class _TcpListener(_SocketListener):
                 end = _frame_end(inbox)
             except wire.WireError as exc:  # the stream cannot be resynchronised: answer, then close
                 try:
-                    conn.sock.send(_error_reply(wire.ERR_BAD_FRAME, str(exc)))
+                    conn.sock.send(wire.nack(wire.ERR_BAD_FRAME, str(exc)).encoded())
                 except OSError:
                     pass
                 self._drop(conn)

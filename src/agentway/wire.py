@@ -538,6 +538,15 @@ class ErrorPayload:
         return cls(code=code, message=message, agent_id=agent_id)
 
 
+ACK = Frame(FrameKind.ACK)  # the plain positive reply; encoded() makes its bytes once
+
+
+def nack(code: int, message: str, agent_id: bytes = b"\x00" * AGENT_ID_LEN) -> Frame:
+    """An ``ERROR`` frame, a refusal or a failure reported to an agent's origin;
+    the one place such a frame is built."""
+    return Frame(FrameKind.ERROR, ErrorPayload(code, message, agent_id).encode())
+
+
 @dataclass(frozen=True)
 class ForwardTarget:
     address: str

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import random
 import socket
 import struct
@@ -599,6 +600,37 @@ class TestHops:
         assert held < cap + 1024 * 1024
         assert list(cluster.agency(1).completions)[-1] == unsolicited[-1]  # the newest stays
 
+    def test_a_malformed_failure_report_is_refused_and_leaves_nothing(self):
+        cluster, record, img = make_cluster()
+        try:
+            report = wire.ErrorPayload(wire.ERR_INTERNAL, "hop failed", b"\x21" * 16).encode()
+            for payload in (report[:10], report[:-1], report[:17] + b"\x00\x02\xff\xfe"):
+                data = wire.encode_frame(Frame(FrameKind.ERROR, payload))
+                reply = wire.decode_frame(
+                    cluster.network.deliver(cluster.endpoints[0].key, data, cluster.endpoints[1].key)
+                )
+                nack = wire.ErrorPayload.decode(reply.payload)
+                assert (reply.kind, nack.code) == (FrameKind.ERROR, wire.ERR_DECODE_FAILED)
+                assert nack.message.startswith("bad error report: ")
+            assert cluster.agency(0).failures == {}
+        finally:
+            cluster.stop()
+
+    def test_the_first_failure_reported_for_an_agent_is_kept(self):
+        cluster, record, img = make_cluster()
+        origin, reporter = cluster.endpoints[0].key, cluster.endpoints[1].key
+        agent_id = b"\x33" * 16
+        try:
+            for message in ("first", "second"):
+                report = wire.ErrorPayload(wire.ERR_INTERNAL, message, agent_id)
+                data = wire.encode_frame(Frame(FrameKind.ERROR, report.encode()))
+                assert wire.decode_frame(cluster.network.deliver(origin, data, reporter)).kind == FrameKind.ACK
+            assert cluster.agency(0).failures == {agent_id: "first"}
+            with pytest.raises(AgencyError, match="^first$"):
+                cluster.agency(0).wait(agent_id, 1, 0.1)
+        finally:
+            cluster.stop()
+
     def test_retired_timing_report_kind_is_refused_and_leaves_nothing(self):
         cluster, record, img = make_cluster()
         try:
@@ -772,6 +804,45 @@ class TestRelaySelf:
             assert result.error_code == (wire.ERR_BAD_FRAME if is_self else wire.ERR_INTERNAL)
         finally:
             relay.stop()
+
+
+class TestRelayTargets:
+    """Each target of a forward request gets its own result, and a target the
+    relay could not send to is logged with the kind and the target."""
+
+    def relay_and_host(self):
+        cluster = Cluster(2)
+        img = image("Relayed", b"r" * 64)
+        cluster.agency(0).install_code(img)
+        return cluster, img
+
+    def forward(self, cluster, img, *targets):
+        request = wire.ForwardRequestPayload(img.kind_name, img.digest, targets)
+        receipt = cluster.agency(1).transport.send_frame(
+            cluster.endpoints[0], Frame(FrameKind.FORWARD_REQUEST, request.encode()))
+        assert receipt.ok
+        return [(r.address, r.ok, r.error_code) for r in wire.decode_forward_results(receipt.reply.payload)]
+
+    def test_a_target_that_is_no_ip_literal_fails_alone(self):
+        cluster, img = self.relay_and_host()
+        try:
+            results = self.forward(cluster, img, wire.ForwardTarget("10.0.0.2", 9000, "seg"),
+                                   wire.ForwardTarget("host", 9000, "seg"))
+            assert results == [("10.0.0.2", True, 0), ("host", False, wire.ERR_BAD_FRAME)]
+            assert cluster.agency(1).lookup_code("Relayed") == img
+        finally:
+            cluster.stop()
+
+    def test_a_target_not_reached_is_logged_with_kind_and_target(self, caplog):
+        cluster, img = self.relay_and_host()
+        try:
+            with caplog.at_level(logging.WARNING, logger="agentway.agency"):
+                results = self.forward(cluster, img, wire.ForwardTarget("10.0.0.9", 9000, "seg"))
+            assert results == [("10.0.0.9", False, wire.ERR_INTERNAL)]
+            [record] = [r for r in caplog.records if r.name == "agentway.agency"]
+            assert "'Relayed'" in record.getMessage() and "10.0.0.9:9000" in record.getMessage()
+        finally:
+            cluster.stop()
 
 
 def free_port():

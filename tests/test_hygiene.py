@@ -1,6 +1,7 @@
 """Static checks on the package source: no import is left unused, no broad
 exception handler swallows an error without a word, no module reads another's
-private names, no transport option goes unread."""
+private names, no transport option goes unread, no module but ``wire`` builds
+an ``ERROR`` frame."""
 
 import ast
 import dataclasses
@@ -185,3 +186,32 @@ def test_the_scan_finds_an_option_nobody_reads():
 def test_every_transport_option_is_read():
     names = [f.name for f in dataclasses.fields(TransportOpts)]
     assert unread_options(names, [path.read_text(encoding="utf-8") for path in MODULES]) == []
+
+
+def error_frames_built(source: str) -> list[str]:
+    """Calls that build a ``Frame`` of kind ``ERROR`` (``Frame(FrameKind.ERROR, ...)``,
+    ``wire.Frame(kind=wire.FrameKind.ERROR)``), one entry per call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        kind = node.args[0] if node.args else next(
+            (kw.value for kw in node.keywords if kw.arg == "kind"), None)
+        if name == "Frame" and isinstance(kind, ast.Attribute) and kind.attr == "ERROR":
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_the_scan_finds_an_error_frame_built():
+    assert error_frames_built("Frame(FrameKind.ERROR, payload)\n") == ["line 1"]
+    assert error_frames_built("x = 1\nwire.Frame(kind=wire.FrameKind.ERROR)\n") == ["line 2"]
+    assert error_frames_built("Frame(FrameKind.ACK)\nwire.nack(ERR_BAD_FRAME, 'no')\n") == []
+    assert error_frames_built("if frame.kind == FrameKind.ERROR:\n    pass\n") == []
+
+
+def test_only_wire_builds_an_error_frame():
+    """Every refusal and failure report is a ``wire.nack``."""
+    found = {path.name: error_frames_built(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: len(lines) for name, lines in found.items() if lines} == {"wire.py": 1}

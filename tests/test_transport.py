@@ -1,4 +1,5 @@
 import gc
+import logging
 import socket
 import struct
 import threading
@@ -268,6 +269,17 @@ class TestTcpSockets:
         finally:
             listener.close()
             transport.close()
+
+    def test_a_failing_handler_is_answered_and_logged_with_kind_and_source(self, caplog):
+        def handler(frame, source):
+            raise RuntimeError("boom")
+
+        data = wire.encode_frame(Frame(FrameKind.CODE_PUSH, b"x"))
+        reply = wire.decode_frame(transport_module._handle_raw(handler, data, ("10.0.0.7", 4242)))
+        assert wire.ErrorPayload.decode(reply.payload).code == wire.ERR_INTERNAL
+        [record] = [r for r in caplog.records if r.name == "agentway.transport"]
+        assert record.levelno == logging.ERROR and record.exc_info is not None
+        assert "CODE_PUSH" in record.getMessage() and "10.0.0.7" in record.getMessage()
 
     def test_byte_by_byte_buffering_still_delivers(self):
         seen = []

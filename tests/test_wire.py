@@ -380,6 +380,14 @@ class TestFrames:
         with pytest.raises(WireError, match="version"):
             wire.decode_frame(bytes(data))
 
+    def test_the_reply_builders_make_the_bytes_a_frame_of_their_fields_does(self):
+        assert wire.ACK == Frame(FrameKind.ACK)
+        assert wire.ACK.encoded() is wire.ACK.encoded()  # made once
+        assert wire.ACK.encoded() == wire.encode_frame(Frame(FrameKind.ACK))
+        report = wire.nack(wire.ERR_SCHEMA_MISMATCH, "why", b"\x09" * 16)
+        assert report == Frame(FrameKind.ERROR, wire.ErrorPayload(4, "why", b"\x09" * 16).encode())
+        assert wire.ErrorPayload.decode(wire.nack(wire.ERR_BAD_FRAME, "").payload).agent_id == bytes(16)
+
     def test_overhead_is_constant(self):
         for n in (0, 1, 100, 5000):
             f = Frame(FrameKind.AGENT_TRANSFER, b"z" * n)
