@@ -464,15 +464,18 @@ class Agency:
             itinerary = itinerary_endpoints(instance.state, self.bind.protocol)
             origin = itinerary[-1]
         except Exception as exc:  # the origin is the itinerary's last stop: it cannot be told
-            message = f"bad itinerary: {exc!r}"
-            log.warning("agent %s hop %d: %s", instance.agent_id.hex(), instance.hop_index, message)
-            return self._fail(hop, message)
+            return self._fail(hop, f"bad itinerary: {exc!r}")
+        last = len(itinerary) - 1
+        if instance.hop_index > last or (instance.hop_index == last and origin.key != self.bind.key):
+            # only the origin, the last stop, completes an agent; the origin did not send this one here
+            return self._fail(hop, f"hop {instance.hop_index} of an itinerary ending at {origin} "
+                                   f"cannot run at {self.bind}")
         try:
             instance.behavior.on_arrival(instance.state, ctx)
             instance.behavior.task(instance.state, ctx)
         except Exception as exc:
             return self._fail(hop, str(exc), origin)
-        if instance.hop_index >= len(itinerary) - 1:
+        if instance.hop_index == last:
             hop.status = "completed"
             data = instance.state.values.get("data")
             self._record(instance.agent_id, hop, completion={
@@ -544,10 +547,13 @@ class Agency:
 
     def _fail(self, hop: HopRecord, message: str, origin: Optional[Endpoint] = None) -> HopRecord:
         """Record a failed hop here, in ``failures`` and the hop log, and tell the
-        origin unless it is this agency or unknown."""
+        origin unless it is this agency; log it when there is no origin to tell."""
         hop.error = message
         self._record(hop.agent_id, hop, failure=message)
-        if origin is None or origin.key == self.bind.key:
+        if origin is None:
+            log.warning("agent %s hop %d: %s", hop.agent_id.hex(), hop.hop_index, message)
+            return hop
+        if origin.key == self.bind.key:
             return hop
         try:
             self.transport.send_frame(origin, wire.nack(wire.ERR_INTERNAL, message, hop.agent_id),

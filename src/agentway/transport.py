@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import ipaddress
 import logging
-import selectors
 import socket
 import struct
 import threading
@@ -325,18 +324,15 @@ class ModeledTransport(_Transport):
 
 MAX_IDLE_PER_PEER = 4  # idle TCP connections a SocketTransport keeps per (peer, no_delay)
 MAX_CONNECTIONS = 64  # accepted TCP connections one listener serves at once
-CONN_TIMEOUT_S = 30.0  # a served connection silent this long, idle or mid-frame, is closed
-# kinds whose handler sends frames itself (a relay forwarding code): never run on the listener thread
-_OFFLOADED_KINDS = frozenset({int(FrameKind.FORWARD_REQUEST)})
+CONN_TIMEOUT_S = 30.0  # a served connection's socket timeout: silent this long, idle or mid-frame, it is closed
 _HEADER_BYTES = 12
-_RECV_BYTES = 65536
 
 
-def _frame_end(header: bytes | bytearray) -> int:
+def _frame_end(header: bytes) -> int:
     """Length of the whole frame that starts with this 12-byte header, magic and
     ``MAX_FRAME_BYTES`` checked, so no peer makes a reader buffer more."""
     if header[:4] != wire.MAGIC:
-        raise wire.WireError(f"bad magic {bytes(header[:4])!r}")
+        raise wire.WireError(f"bad magic {header[:4]!r}")
     end = _HEADER_BYTES + struct.unpack_from(">I", header, 8)[0] + 4  # + CRC
     if end > MAX_FRAME_BYTES:
         raise wire.WireError(f"frame of {end} bytes exceeds the limit of {MAX_FRAME_BYTES}")
@@ -396,7 +392,7 @@ class _SocketListener:
     def close(self) -> None:
         self._closed.set()
         try:
-            # closing alone leaves accept/select/recvfrom blocked; shutdown wakes them.
+            # closing alone leaves accept/recvfrom blocked; shutdown wakes them.
             # An unconnected UDP socket raises ENOTCONN here but is woken all the same.
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -405,193 +401,84 @@ class _SocketListener:
             self._thread.join()
 
 
-@dataclass(slots=True)
-class _Conn:
-    """An accepted connection: bytes received and not yet framed, reply bytes not
-    yet sent, when it last moved a byte, and whether a reply is being made off
-    the listener thread."""
-
-    sock: socket.socket
-    addr: tuple
-    last_active: float
-    inbox: bytearray = field(default_factory=bytearray)
-    outbox: bytes = b""
-    pending: bool = False
-
-
-_WAKE = "wake"  # selector data of the socket that off-thread handlers write to
-
-
 class _TcpListener(_SocketListener):
-    """One thread serves the listening socket and every accepted connection.
+    """One thread accepts connections, and each accepted connection is served on
+    a thread of its own, which reads a frame, answers it and reads the next.
 
-    A selector says which sockets are ready. A connection carries any number
-    of frames; the thread answers its complete frames in arrival order and runs
-    the handler inline, so handlers run on this thread. The exception is a
-    frame of a kind in ``_OFFLOADED_KINDS``: its handler sends frames itself
-    (a relay forwarding code), so it runs on a thread of its own, and the
-    connection is answered, and read on, when that thread is done. A peer that
-    stalls mid-frame holds up nobody: its bytes wait in its own buffer. A
-    connection whose reply cannot be written at once is not read again until
-    the reply is out. At most ``MAX_CONNECTIONS`` connections are open at once
-    (``open_connections``, written by this thread only); one accepted beyond
-    that is closed at once. A connection that moves no byte for
-    ``CONN_TIMEOUT_S``, idle or stalled mid-frame, is closed, so silent peers
-    cannot keep the table full.
+    So a connection's frames are answered in arrival order, its handlers run on
+    its thread, and a peer that stalls, does not read its replies, or sends a
+    frame whose handler sends frames itself (a relay forwarding code) holds up
+    only its own connection. At most ``MAX_CONNECTIONS`` connections are open
+    at once (``open_connections``); one accepted beyond that is closed at once.
+    ``CONN_TIMEOUT_S`` is each connection's socket timeout: a peer that moves no
+    byte for that long, idle, stalled mid-frame or not reading its reply, is
+    closed, so silent peers cannot keep the table full. ``close`` shuts every
+    connection down and waits for its thread, a handler still running included.
     """
 
     def __init__(self, sock: socket.socket, handler: Handler) -> None:
-        sock.setblocking(False)
-        self._done: deque[tuple[_Conn, bytes]] = deque()  # replies made off this thread
-        self._wake: Optional[socket.socket] = None  # the pair off-thread handlers wake this thread by
-        self._waker: Optional[socket.socket] = None
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(sock, selectors.EVENT_READ)
-        self.open_connections = 0
+        self._lock = threading.Lock()
+        self._conns: dict[socket.socket, threading.Thread] = {}  # each open connection's thread
         super().__init__(sock, handler)
 
+    @property
+    def open_connections(self) -> int:
+        return len(self._conns)
+
     def _loop(self) -> None:
-        next_sweep = 0.0
-        try:
-            while not self._closed.is_set():
-                for key, events in self._selector.select(CONN_TIMEOUT_S / 4):
-                    if key.data is None:
-                        self._accept()
-                    elif key.data is _WAKE:
-                        self._finish_offloaded()
-                    else:
-                        self._service(key.data, events)
-                now = time.monotonic()
-                if now >= next_sweep:
-                    next_sweep = now + CONN_TIMEOUT_S / 4
-                    self._sweep(now)
-        finally:  # the listening socket, the wake pair and every connection
-            for key in list(self._selector.get_map().values()):
-                key.fileobj.close()
-            self._selector.close()
-            if self._waker is not None:
-                self._waker.close()
-
-    def _accept(self) -> None:
-        try:
-            sock, addr = self._sock.accept()
-        except OSError:  # the peer gave up before we got to it, or close() shut the socket
-            return
-        if self.open_connections >= MAX_CONNECTIONS:
-            log.warning("listener on port %d: %d connections open, closing one from %s",
-                        self.endpoint_port, self.open_connections, addr)
-            sock.close()
-            return
-        sock.setblocking(False)
-        self._selector.register(sock, selectors.EVENT_READ, _Conn(sock, addr, time.monotonic()))
-        self.open_connections += 1
-
-    def _drop(self, conn: _Conn) -> None:
-        self._selector.unregister(conn.sock)
-        conn.sock.close()
-        self.open_connections -= 1
-
-    def _sweep(self, now: float) -> None:
-        """Close every connection that has moved no byte for ``CONN_TIMEOUT_S``
-        and is not waiting on an off-thread handler."""
-        for key in list(self._selector.get_map().values()):
-            conn = key.data
-            if isinstance(conn, _Conn) and not conn.pending and now - conn.last_active > CONN_TIMEOUT_S:
-                log.debug("listener on port %d: closing connection from %s, silent for %.0f s",
-                          self.endpoint_port, conn.addr, now - conn.last_active)
-                self._drop(conn)
-
-    def _service(self, conn: _Conn, events: int) -> None:
-        if events & selectors.EVENT_WRITE:
-            if not self._send(conn, conn.outbox):
-                return
-        else:
-            try:
-                chunk = conn.sock.recv(_RECV_BYTES)
-            except BlockingIOError:
-                return
-            except OSError:
-                chunk = b""
-            if not chunk:  # the peer closed, perhaps mid-frame: there is nobody to answer
-                self._drop(conn)
-                return
-            conn.inbox += chunk
-            conn.last_active = time.monotonic()
-        self._answer(conn)
-
-    def _answer(self, conn: _Conn) -> None:
-        """Answer complete frames in arrival order until a reply cannot be written
-        at once or is being made off this thread."""
-        inbox = conn.inbox
-        while not conn.pending and len(inbox) >= _HEADER_BYTES:
-            try:
-                end = _frame_end(inbox)
-            except wire.WireError as exc:  # the stream cannot be resynchronised: answer, then close
+        with self._sock:
+            while True:
                 try:
-                    conn.sock.send(wire.nack(wire.ERR_BAD_FRAME, str(exc)).encoded())
+                    sock, addr = self._sock.accept()
+                except OSError:  # close() shut the socket, or the peer gave up before we got to it
+                    if self._closed.is_set():
+                        return
+                    continue
+                with self._lock:  # close() admits no connection after it has taken the lock
+                    full = len(self._conns) >= MAX_CONNECTIONS
+                    if not full and not self._closed.is_set():
+                        thread = threading.Thread(target=self._serve, args=(sock, addr), daemon=True)
+                        self._conns[sock] = thread
+                        thread.start()
+                        continue
+                if full:
+                    log.warning("listener on port %d: %d connections open, closing one from %s",
+                                self.endpoint_port, MAX_CONNECTIONS, addr)
+                sock.close()
+
+    def _serve(self, sock: socket.socket, addr: tuple) -> None:
+        try:
+            sock.settimeout(CONN_TIMEOUT_S)
+            while True:
+                try:
+                    data = read_frame_bytes(sock)
+                except wire.WireError as exc:  # the stream cannot be resynchronised: answer, then close
+                    _send_whole(sock, wire.nack(wire.ERR_BAD_FRAME, str(exc)).encoded())
+                    return
+                _send_whole(sock, _handle_raw(self._handler, data, addr))
+        except socket.timeout:
+            log.debug("listener on port %d: closing connection from %s, silent for %.0f s",
+                      self.endpoint_port, addr, CONN_TIMEOUT_S)
+        except (OSError, TransportError):  # the peer closed, perhaps mid-frame, or close() shut it
+            pass
+        finally:
+            with self._lock:
+                del self._conns[sock]
+            sock.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed.set()
+            threads = list(self._conns.values())
+            for sock in self._conns:  # each thread closes its own socket, after it leaves the table
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass
-                self._drop(conn)
-                return
-            if len(inbox) < end:
-                return
-            data = bytes(inbox[:end])
-            del inbox[:end]
-            if data[5] in _OFFLOADED_KINDS:  # the kind byte
-                self._offload(conn, data)
-                return
-            if not self._send(conn, _handle_raw(self._handler, data, conn.addr)):
-                return
-
-    def _offload(self, conn: _Conn, data: bytes) -> None:
-        """Handle one frame on a thread of its own. The wake pair is made on first
-        use: one per listener measurably slows setting up an agency."""
-        if self._waker is None:
-            self._wake, self._waker = socket.socketpair()
-            self._wake.setblocking(False)
-            self._waker.setblocking(False)
-            self._selector.register(self._wake, selectors.EVENT_READ, _WAKE)
-        conn.pending = True
-        threading.Thread(target=self._handle_offloaded, args=(conn, data), daemon=True).start()
-
-    def _handle_offloaded(self, conn: _Conn, data: bytes) -> None:
-        self._done.append((conn, _handle_raw(self._handler, data, conn.addr)))
-        try:
-            self._waker.send(b"\0")
-        except OSError:  # a wake byte is already waiting, or the listener has closed
-            pass
-
-    def _finish_offloaded(self) -> None:
-        try:
-            self._wake.recv(4096)
-        except OSError:
-            pass
-        while self._done:
-            conn, reply = self._done.popleft()
-            conn.pending = False
-            if conn.sock.fileno() < 0:  # the peer closed while it waited
-                continue
-            conn.last_active = time.monotonic()
-            if self._send(conn, reply):
-                self._answer(conn)
-
-    def _send(self, conn: _Conn, data: bytes) -> bool:
-        """Write what the socket takes now; True when nothing is left over.
-        A leftover is kept, and the connection waits for writability instead of input."""
-        try:
-            sent = conn.sock.send(data)
-        except BlockingIOError:
-            sent = 0
-        except OSError:
-            self._drop(conn)
-            return False
-        if sent:
-            conn.last_active = time.monotonic()
-        left = data[sent:]
-        if bool(left) != bool(conn.outbox):
-            self._selector.modify(conn.sock, selectors.EVENT_WRITE if left else selectors.EVENT_READ, conn)
-        conn.outbox = left
-        return not left
+        super().close()
+        for thread in threads:
+            if thread is not threading.current_thread():  # a handler may close its own listener
+                thread.join()
 
 
 class _UdpListener(_SocketListener):
@@ -621,6 +508,8 @@ class SocketTransport(_Transport):
     written just as the peer's listener closes it for silence. A frame is never
     written twice: a failure after the write is a ``TransportError``, so a hop
     runs at most once. UDP sends one datagram per frame, with one retransmission.
+    ``serve`` answers each TCP connection on a thread of its own (``_TcpListener``)
+    and every UDP datagram on the listener's one thread.
     """
 
     def __init__(self) -> None:

@@ -129,6 +129,14 @@ def _each(data: bytes, pos: int, readers: Iterable[Read]) -> tuple[list, int]:
     return values, pos
 
 
+def _whole(data: bytes, readers: Iterable[Read]) -> list:
+    """The values the readers read from all of ``data``; a byte left over is an error."""
+    values, pos = _each(data, 0, readers)
+    if pos != len(data):
+        raise WireError(f"{len(data) - pos} trailing bytes after payload")
+    return values
+
+
 def _array(item: Read) -> Read:
     """The reader of a u16 count and that many items."""
     return lambda data, pos: _each(data, pos + 2, repeat(item, _u16(data, pos)[0]))
@@ -500,7 +508,7 @@ class CodePushPayload:
 
     @classmethod
     def decode(cls, data: bytes) -> "CodePushPayload":
-        return cls(*_each(data, 0, (_text, _digest, _blob))[0])
+        return cls(*_whole(data, (_text, _digest, _blob)))
 
 
 @dataclass(frozen=True)
@@ -534,7 +542,7 @@ class ErrorPayload:
 
     @classmethod
     def decode(cls, data: bytes) -> "ErrorPayload":
-        code, agent_id, message = _each(data, 0, (_u8, _agent_id, _text))[0]
+        code, agent_id, message = _whole(data, (_u8, _agent_id, _text))
         return cls(code=code, message=message, agent_id=agent_id)
 
 
@@ -570,7 +578,7 @@ class ForwardRequestPayload:
     @classmethod
     def decode(cls, data: bytes) -> "ForwardRequestPayload":
         target = _array(lambda d, p: _each(d, p, (_text, _u16, _text)))
-        kind_name, digest, targets = _each(data, 0, (_text, _digest, target))[0]
+        kind_name, digest, targets = _whole(data, (_text, _digest, target))
         return cls(kind_name, digest, tuple(ForwardTarget(*t) for t in targets))
 
 
@@ -590,7 +598,7 @@ def encode_forward_results(results: list[ForwardResult]) -> bytes:
 
 
 def decode_forward_results(data: bytes) -> list[ForwardResult]:
-    rows = _array(lambda d, p: _each(d, p, (_text, _u16, _u8, _u8)))(data, 0)[0]
+    (rows,) = _whole(data, (_array(lambda d, p: _each(d, p, (_text, _u16, _u8, _u8))),))
     return [ForwardResult(address, port, ok != 0, code) for address, port, ok, code in rows]
 
 

@@ -494,6 +494,27 @@ class TestHops:
         finally:
             cluster.stop()
 
+    @pytest.mark.parametrize("hop_index", [7, 3, 2])
+    def test_an_agent_completes_only_at_its_origin(self, caplog, hop_index):
+        """A transfer past the end of its itinerary, or at its end but not at its
+        origin, fails here: it is logged, kept out of completions and not reported."""
+        cluster, record, img = make_cluster(n=3, behavior="collector")
+        reports = []
+        cluster.network.add_tap(lambda key, frame: reports.append(key) if frame.kind == FrameKind.ERROR else None)
+        try:
+            record.set("it", [str(ep) for ep in cluster.endpoints[1:]] + [str(cluster.endpoints[0])])
+            agency_b = cluster.agency(1)  # 10.0.0.2, the first of three stops
+            frame = transfer_frame(record, img, hop_index=hop_index, agent_id=b"\x0e" * 16)
+            assert cluster.agency(0).transport.send_frame(cluster.endpoints[1], frame).ok
+            cluster.network.run()
+            assert agency_b.completions == {} and cluster.agency(0).completions == {}
+            assert agency_b.hops[-1].status == "failed"
+            assert f"hop {hop_index} of an itinerary ending at {cluster.endpoints[0]}" in agency_b.failures[b"\x0e" * 16]
+            assert ("0e" * 16) in caplog.text
+            assert reports == []  # the named origin is not told
+        finally:
+            cluster.stop()
+
     def test_failure_report_that_cannot_be_sent_is_logged(self, caplog):
         cluster, record, img = make_cluster()
         try:

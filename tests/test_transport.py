@@ -489,7 +489,7 @@ class TestTcpConnections:
             transport.close()
         assert crashes == []
 
-    def test_many_concurrent_clients_one_listener_thread(self):
+    def test_many_concurrent_clients_a_thread_each(self):
         before = set(threading.enumerate())
         handler_threads = set()
 
@@ -508,23 +508,26 @@ class TestTcpConnections:
             for sock in clients:
                 assert wire.decode_frame(read_frame_bytes(sock)).kind == FrameKind.ACK
             assert listener.open_connections == 24
-            assert len(set(threading.enumerate()) - before) == 1
-            assert handler_threads == set(threading.enumerate()) - before
+            started = set(threading.enumerate()) - before
+            # one thread per open connection, which runs its handlers, and the acceptor
+            assert len(started) <= listener.open_connections + 1
+            assert len(handler_threads) == 24 and handler_threads < started
         finally:
             for sock in clients:
                 sock.close()
             listener.close()
         assert set(threading.enumerate()) - before == set()
 
-    def test_replies_a_slow_reader_cannot_take_wait_for_writability(self):
+    def test_a_slow_reader_waits_on_its_own_connection_thread(self):
         """A client that reads nothing while it pipelines thousands of frames fills the
-        connection's small buffers; the listener keeps the rest of a reply and sends it
-        once the socket is writable, then answers the frames still waiting, in order."""
+        connection's small buffers; its thread waits in the send until the client reads,
+        then answers the frames still waiting, in order."""
         before = set(threading.enumerate())
-        answered = []
+        answered, handler_threads = [], set()
 
         def handler(frame, source):
             answered.append(frame)
+            handler_threads.add(threading.current_thread())
             return Frame(FrameKind.ACK, struct.pack(">I", len(answered) - 1))
 
         sock = socket.socket()
@@ -544,12 +547,63 @@ class TestTcpConnections:
                 writer.join(timeout=5)
                 assert not writer.is_alive()
                 replies = [wire.decode_frame(read_frame_bytes(client)) for _ in range(n)]
-                assert len(set(threading.enumerate()) - before) == 1
+                started = set(threading.enumerate()) - before
+                assert listener.open_connections == 1
+                assert len(started) <= 2  # the connection's thread and the acceptor
+                assert len(handler_threads) == 1 and handler_threads < started
             finally:
                 listener.close()
                 writer.join(timeout=5)
+        assert set(threading.enumerate()) - before == set()
         assert all(reply.kind == FrameKind.ACK for reply in replies)
         assert [struct.unpack(">I", reply.payload)[0] for reply in replies] == list(range(n))
+
+    def test_close_waits_for_a_handler_in_progress(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def handler(frame, source):
+            entered.set()
+            release.wait(5)
+            return Frame(FrameKind.ACK)
+
+        before = set(threading.enumerate())
+        transport, listener, ep = serve_tcp(handler)
+        closer = threading.Thread(target=listener.close)
+        try:
+            with socket.create_connection(ep.key, timeout=5) as client:
+                client.sendall(wire.encode_frame(Frame(FrameKind.ACK)))
+                assert entered.wait(5)
+                closer.start()
+                closer.join(0.2)
+                assert closer.is_alive()  # the connection's thread is still in the handler
+                release.set()
+                closer.join(5)
+                assert not closer.is_alive()
+        finally:
+            release.set()
+            listener.close()
+            transport.close()
+        assert set(threading.enumerate()) - before == set()
+
+    def test_a_handler_may_close_its_own_listener(self):
+        closed = threading.Event()
+
+        def handler(frame, source):
+            listener.close()
+            closed.set()
+            return Frame(FrameKind.ACK)
+
+        before = set(threading.enumerate())
+        transport, listener, ep = serve_tcp(handler)
+        try:
+            with socket.create_connection(ep.key, timeout=5) as client:
+                client.sendall(wire.encode_frame(Frame(FrameKind.ACK)))
+                while client.recv(16):  # the reply, if it went out before the shutdown, then the end
+                    pass
+            assert closed.wait(5)
+            assert wait_until(lambda: set(threading.enumerate()) - before == set())
+        finally:
+            transport.close()
 
     def test_connection_beyond_the_cap_is_closed(self, monkeypatch):
         monkeypatch.setattr(transport_module, "MAX_CONNECTIONS", 2)

@@ -418,6 +418,18 @@ class TestPayloadCodecs:
         results = [wire.ForwardResult("10.0.1.2", 9000, True), wire.ForwardResult("10.0.1.3", 9000, False, 5)]
         assert wire.decode_forward_results(wire.encode_forward_results(results)) == results
 
+    @pytest.mark.parametrize("encoded, decode", [
+        (wire.CodePushPayload("MA", b"\x01" * 32, b"code").encode(), wire.CodePushPayload.decode),
+        (wire.ErrorPayload(wire.ERR_INTERNAL, "failed", b"\x04" * 16).encode(), wire.ErrorPayload.decode),
+        (wire.ForwardRequestPayload("MA", b"\x06" * 32, (wire.ForwardTarget("10.0.1.2", 9000, "seg"),)).encode(),
+         wire.ForwardRequestPayload.decode),
+        (wire.encode_forward_results([wire.ForwardResult("10.0.1.2", 9000, True)]), wire.decode_forward_results),
+    ], ids=["code_push", "error", "forward_request", "forward_results"])
+    def test_trailing_bytes_are_refused(self, encoded, decode):
+        decode(encoded)
+        with pytest.raises(WireError, match="4 trailing bytes"):
+            decode(encoded + b"junk")
+
 
 class TestSchemaFiles:
     def test_roundtrip_through_json_dict(self):
