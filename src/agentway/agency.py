@@ -220,10 +220,15 @@ class HopRecord:
     send_bytes: int = 0
 
 
-def _bound(table: dict) -> None:
-    """Keep the newest ``HOP_LOG_RECORDS`` entries; the caller holds the agency's lock."""
+def _bound(table: dict, weight: Optional[Callable[[object], int]] = None) -> None:
+    """Keep the newest ``HOP_LOG_RECORDS`` entries and, given ``weight``, drop the
+    oldest while the entries weigh over ``COMPLETIONS_STATE_BYTES``, keeping the
+    newest one. The table is trimmed in place; the caller holds the agency's lock."""
     while len(table) > HOP_LOG_RECORDS:
         del table[next(iter(table))]
+    total = sum(map(weight, table.values())) if weight else 0
+    while total > COMPLETIONS_STATE_BYTES and len(table) > 1:
+        total -= weight(table.pop(next(iter(table))))
 
 
 _itineraries: dict[tuple[tuple[str, ...], str], tuple[Endpoint, ...]] = {}
@@ -296,7 +301,6 @@ class Agency:
         self._behaviors: dict[str, Behavior] = {}
         self._lock = threading.Condition()
         self.completions: dict[bytes, dict] = {}
-        self._completed_bytes = 0  # at least the "state_len" of every completion held
         self.failures: dict[bytes, str] = {}
         self.hops: deque[HopRecord] = deque(maxlen=HOP_LOG_RECORDS)
         self._listener = None
@@ -511,22 +515,8 @@ class Agency:
                 _bound(self.failures)
             if completion is not None:
                 self.completions[agent_id] = completion
-                self._bound_completions(completion["state_len"])
+                _bound(self.completions, lambda done: done["state_len"])
             self._lock.notify_all()
-
-    def _bound_completions(self, added: int) -> None:
-        """Drop the oldest completions past ``HOP_LOG_RECORDS`` entries, then while
-        their states came to over ``COMPLETIONS_STATE_BYTES``, keeping the newest.
-        Callers pop entries, so the running total is recounted before it drops any.
-        The caller holds the agency's lock."""
-        _bound(self.completions)
-        self._completed_bytes += added
-        if self._completed_bytes <= COMPLETIONS_STATE_BYTES:
-            return
-        self._completed_bytes = sum(done["state_len"] for done in self.completions.values())
-        while self._completed_bytes > COMPLETIONS_STATE_BYTES and len(self.completions) > 1:
-            oldest = self.completions.pop(next(iter(self.completions)))
-            self._completed_bytes -= oldest["state_len"]
 
     def dispatch(self, instance: AgentInstance, dest: Endpoint) -> tuple[Receipt, int]:
         """Re-encode the agent's state and send it to the next itinerary stop."""

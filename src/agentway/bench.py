@@ -170,7 +170,6 @@ class PhaseTimings:
     p6_transfer_BtoA: int
     p7_deserialize_A: int
     total_ns: int
-    transfer_split: bool = True  # False when p3 holds the combined transfer figure
 
     def phases(self) -> tuple[int, ...]:
         return (
@@ -290,7 +289,7 @@ def _one_roundtrip(
     # real mode: transfer directions are not separable without clock sync
     local = p1 + p2 + p4 + p5 + p7
     combined = max(0, elapsed - local)
-    return PhaseTimings(p1, p2, combined, p4, p5, 0, p7, elapsed, transfer_split=False)
+    return PhaseTimings(p1, p2, combined, p4, p5, 0, p7, elapsed)
 
 
 # ---------------------------------------------------------------------------

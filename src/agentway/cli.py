@@ -167,8 +167,8 @@ def cmd_push(args) -> int:
     for peer, ok in sorted(report.acks.items()):
         status = "ok" if ok else f"FAILED ({report.errors.get(peer, '?')})"
         print(f"{peer[0]}:{peer[1]}  {status}")
-    for link_id, usage in sorted(report.per_link.items()):
-        print(f"link {link_id}: {usage.frames} code frames, {usage.code_bytes} bytes")
+    for link_id, stats in sorted(report.per_link.items()):
+        print(f"link {link_id}: {stats.frames_sent} code frames, {stats.bytes_sent} bytes")
     print(f"elapsed: {report.elapsed_s * 1000:.1f} ms")
     return 0 if report.all_ok else 2
 

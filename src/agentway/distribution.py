@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from . import wire
 from .agency import CodeImage
-from .transport import Endpoint, Link, LinkModel, TransportOpts, parse_endpoint
+from .transport import Endpoint, Link, LinkModel, LinkStats, TransportOpts, parse_endpoint
 from .wire import Frame, FrameKind
 
 
@@ -129,14 +129,8 @@ class DistributionPlan:
 
 
 @dataclass
-class LinkUsage:
-    frames: int = 0
-    code_bytes: int = 0
-
-
-@dataclass
 class DistributionReport:
-    per_link: dict[str, LinkUsage]
+    per_link: dict[str, LinkStats]  # the plan's view: a code frame per acked edge
     acks: dict[tuple[str, int], bool]
     errors: dict[tuple[str, int], str]
     elapsed_s: float
@@ -311,10 +305,10 @@ def push_code(
                 errors[(res.address, res.port)] = f"code {res.error_code}"
 
     # the plan's view: one code frame on an edge's link for every target that acked it
-    frame_bytes = wire.FRAME_OVERHEAD + len(push_frame.payload)
+    frame_bytes, code_bytes = len(push_frame.encoded()), len(push_frame.payload)
     frames = Counter(edge.link_id for edge in plan.edges if acks.get(edge.target.key))
     return DistributionReport(
-        per_link={link_id: LinkUsage(n, n * frame_bytes) for link_id, n in frames.items()},
+        per_link={link: LinkStats(n, n * frame_bytes, n * code_bytes) for link, n in frames.items()},
         acks=acks,
         errors=errors,
         elapsed_s=time.perf_counter() - start,

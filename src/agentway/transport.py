@@ -379,7 +379,9 @@ def _still_open(sock: socket.socket) -> bool:
 
 class _SocketListener:
     """A bound socket served by one thread; ``close`` wakes that thread and
-    waits for it, and the thread closes what it served on its way out."""
+    waits for it, and the thread closes what it served on its way out. ``close``
+    stops reading only, so a handler still running sends its reply; it may wait
+    up to ``CONN_TIMEOUT_S`` for a reply that its peer does not read."""
 
     def __init__(self, sock: socket.socket, handler: Handler) -> None:
         self._sock = sock
@@ -394,7 +396,7 @@ class _SocketListener:
         try:
             # closing alone leaves accept/recvfrom blocked; shutdown wakes them.
             # An unconnected UDP socket raises ENOTCONN here but is woken all the same.
-            self._sock.shutdown(socket.SHUT_RDWR)
+            self._sock.shutdown(socket.SHUT_RD)
         except OSError:
             pass
         if threading.current_thread() is not self._thread:  # a handler may close its own listener
@@ -412,8 +414,8 @@ class _TcpListener(_SocketListener):
     at once (``open_connections``); one accepted beyond that is closed at once.
     ``CONN_TIMEOUT_S`` is each connection's socket timeout: a peer that moves no
     byte for that long, idle, stalled mid-frame or not reading its reply, is
-    closed, so silent peers cannot keep the table full. ``close`` shuts every
-    connection down and waits for its thread, a handler still running included.
+    closed, so silent peers cannot keep the table full. ``close`` stops each
+    connection's reading and waits for its thread, which answers the frame in hand only.
     """
 
     def __init__(self, sock: socket.socket, handler: Handler) -> None:
@@ -449,7 +451,7 @@ class _TcpListener(_SocketListener):
     def _serve(self, sock: socket.socket, addr: tuple) -> None:
         try:
             sock.settimeout(CONN_TIMEOUT_S)
-            while True:
+            while not self._closed.is_set():  # queued bytes stay readable after SHUT_RD
                 try:
                     data = read_frame_bytes(sock)
                 except wire.WireError as exc:  # the stream cannot be resynchronised: answer, then close
@@ -472,7 +474,7 @@ class _TcpListener(_SocketListener):
             threads = list(self._conns.values())
             for sock in self._conns:  # each thread closes its own socket, after it leaves the table
                 try:
-                    sock.shutdown(socket.SHUT_RDWR)
+                    sock.shutdown(socket.SHUT_RD)
                 except OSError:
                     pass
         super().close()

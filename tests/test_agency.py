@@ -17,6 +17,7 @@ from agentway.agency import (
     Agency,
     AgencyError,
     AdmissionError,
+    Behavior,
     CodeCache,
     CodeImage,
     collector_behavior,
@@ -512,6 +513,41 @@ class TestHops:
             assert f"hop {hop_index} of an itinerary ending at {cluster.endpoints[0]}" in agency_b.failures[b"\x0e" * 16]
             assert ("0e" * 16) in caplog.text
             assert reports == []  # the named origin is not told
+        finally:
+            cluster.stop()
+
+    def test_a_refused_onward_hop_fails_the_agent_at_its_origin(self):
+        cluster, record, img = make_cluster(n=3)
+        origin, third = cluster.agency(0), cluster.agency(2)
+        third.cache = CodeCache()  # the middle stop lacks the code
+        try:
+            itinerary = [cluster.endpoints[1], cluster.endpoints[2], cluster.endpoints[0]]
+            agent_id = origin.launch(record.copy(), itinerary)
+            cluster.network.run()
+            with pytest.raises(AgencyError, match=f"^hop refused with code {wire.ERR_CODE_MISSING}: "):
+                origin.wait(agent_id, 2, 0)
+            assert cluster.agency(1).hops[-1].status == "failed"
+            assert agent_id not in origin.completions and list(third.hops) == []
+        finally:
+            cluster.stop()
+
+    def test_a_failure_at_the_origin_is_recorded_there_and_not_reported(self):
+        cluster, record, img = make_cluster()
+        origin = cluster.agency(0)
+
+        def boom(state, ctx):
+            raise RuntimeError("kaboom at home")
+
+        origin.register_behavior("MAExample", Behavior("boom", list(record.fields), boom, boom))
+        reports = []
+        cluster.network.add_tap(lambda key, frame: reports.append(key) if frame.kind == FrameKind.ERROR else None)
+        try:
+            agent_id = origin.launch(record.copy(), [cluster.endpoints[1], cluster.endpoints[0]])
+            cluster.network.run()
+            with pytest.raises(AgencyError, match="^kaboom at home$"):
+                origin.wait(agent_id, 1, 0)
+            assert origin.hops[-1].status == "failed" and agent_id not in origin.completions
+            assert reports == []  # the origin does not send itself an ERROR frame
         finally:
             cluster.stop()
 

@@ -1,8 +1,16 @@
 import json
+import os
+import re
+import select
+import signal
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import agentway
 from agentway import bench
 from agentway.cli import main
 
@@ -241,3 +249,44 @@ class TestEndToEnd:
             b.stop()
         assert rc == 2
         assert "agent failed: kaboom" in err
+
+
+class TestServeCommand:
+    def test_serve_takes_a_push_and_a_launch_and_exits_0_on_sigint(self, tmp_path, capsys):
+        config = write_json(tmp_path / "serve.json", {
+            "bind": "127.0.0.1:0",
+            "host_name": "served",
+            "behaviors": [{"kind": "MAExample", "behavior": "collector"}],
+        })
+        env = dict(os.environ, AGENTWAY_LOG="INFO",
+                   PYTHONPATH=str(Path(agentway.__file__).resolve().parent.parent))
+        proc = subprocess.Popen([sys.executable, "-m", "agentway.cli", "serve", "--config", config],
+                                stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            ready, _, _ = select.select([proc.stderr], [], [], 30)
+            assert ready, "serve printed nothing"
+            served = re.search(r"serving on (\S+)$", proc.stderr.readline().strip()).group(1)
+            code_file = tmp_path / "agent.bin"
+            code_file.write_bytes(b"\xfa\xce" * 100)
+            topology = write_json(tmp_path / "topo.json", {
+                "segments": {"lan": ["127.0.0.1:1", served]},  # the manager is never sent to
+                "manager": "127.0.0.1:1",
+            })
+            assert main(["push", "--topology", topology, "--code", str(code_file),
+                         "--kind", "MAExample"]) == 0
+            assert f"{served}  ok" in capsys.readouterr().out
+            origin = write_json(tmp_path / "origin.json", {
+                "bind": "127.0.0.1:0",
+                "behaviors": [{"kind": "MAExample", "behavior": "collector"}],
+            })
+            assert main(["launch", "--config", origin, "--code", str(code_file),
+                         "--kind", "MAExample", "--itinerary", served]) == 0
+            assert "served" in capsys.readouterr().out  # the collector visited the served agency
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+            assert "Traceback" not in proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()

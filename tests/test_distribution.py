@@ -237,11 +237,11 @@ class TestPush:
             for key, agency in agencies.items():
                 if key != topo.manager.key:
                     assert agency.lookup_code("MAExample") is not None
-            assert report.per_link["seg1--seg2"].frames == 1
-            assert report.per_link["seg1--seg2"].code_bytes == push_frame_bytes
+            assert report.per_link["seg1--seg2"].frames_sent == 1
+            assert report.per_link["seg1--seg2"].bytes_sent == push_frame_bytes
             # relay fan-out is counted on each remote segment's local link
-            assert report.per_link["local:seg2"].frames == 2
-            assert report.per_link["local:seg3"].frames == 2
+            assert report.per_link["local:seg2"].frames_sent == 2
+            assert report.per_link["local:seg3"].frames_sent == 2
             # instrumented link saw exactly one CODE_PUSH worth of code payload
             code_payload = wire.CodePushPayload(
                 image.kind_name, image.digest, image.code
@@ -294,7 +294,7 @@ class TestPush:
             assert not report.all_ok
             assert report.acks[down] is False
             assert report.acks[ep(3, 3).key] is True  # sibling still covered
-            assert report.per_link["local:seg3"].frames == 1  # only the acked target counts
+            assert report.per_link["local:seg3"].frames_sent == 1  # only the acked target counts
         finally:
             for a in agencies.values():
                 a.stop()
@@ -399,6 +399,31 @@ class TestPush:
         assert sorted(received) == sorted(key for key in agencies if key != topo.manager.key)
         sent = {encode_frame(frame) for frames in received.values() for frame in frames}
         assert sum(map(len, received.values())) == 11 and len(sent) == 1
+
+    def test_the_reports_code_bytes_per_link_are_the_links_own_counts(self):
+        """3 segments of 4 hosts: the plan's view of each link matches what the link counted."""
+        topo = Topology(
+            segments={f"seg{s}": [ep(s, h) for h in range(1, 5)] for s in (1, 2, 3)},
+            manager=ep(1, 1),
+            mdms={"seg2": ep(2, 1), "seg3": ep(3, 1)},
+        )
+        network, opts, agencies = live_cluster(topo)
+        image = CodeImage.from_code("MAExample", random.Random(11).randbytes(64 * 1024))
+        before = {link_id: link.stats.code_bytes_sent for link_id, link in topo.links.items()}
+        try:
+            hosts = [host for seg_hosts in topo.segments.values() for host in seg_hosts]
+            report = push_code(plan_distribution(hosts, topo, "hierarchical"),
+                               image, agencies[topo.manager.key].transport, opts, topo)
+        finally:
+            for a in agencies.values():
+                a.stop()
+        assert report.all_ok
+        grown = {link_id: link.stats.code_bytes_sent - before[link_id]
+                 for link_id, link in topo.links.items()}
+        assert set(report.per_link) == {link_id for link_id, n in grown.items() if n}
+        assert len(report.per_link) == 5  # the manager's segment, two WAN links, two fan-outs
+        for link_id, stats in report.per_link.items():
+            assert stats.code_bytes_sent == grown[link_id]
 
     def test_tampered_image_refused_before_any_send(self):
         topo = three_segment_topology()

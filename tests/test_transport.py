@@ -404,6 +404,38 @@ class TestListenerClose:
         listener.close()  # closing twice is harmless
         assert crashes == []  # each thread ended by returning, not by an exception
 
+    @pytest.mark.parametrize("protocol", ["tcp", "udp"])
+    def test_a_reply_in_hand_goes_out_at_close(self, protocol):
+        entered, release = threading.Event(), threading.Event()
+
+        def handler(frame, source):
+            entered.set()
+            release.wait(5)
+            return Frame(FrameKind.ACK)
+
+        transport = SocketTransport()
+        listener = transport.serve(Endpoint(LOOP, 0, protocol), handler)
+        closer = threading.Thread(target=listener.close)
+        kind = socket.SOCK_STREAM if protocol == "tcp" else socket.SOCK_DGRAM
+        try:
+            with socket.socket(socket.AF_INET, kind) as client:
+                client.settimeout(5)
+                client.connect((LOOP, listener.endpoint_port))
+                client.sendall(wire.encode_frame(Frame(FrameKind.AGENT_TRANSFER, b"state")))
+                assert entered.wait(5)
+                closer.start()
+                closer.join(0.2)  # close() has stopped the reading by now
+                assert closer.is_alive()  # and waits for the handler
+                release.set()
+                reply = read_frame_bytes(client) if protocol == "tcp" else client.recv(65535)
+                assert wire.decode_frame(reply).kind == FrameKind.ACK  # the sender hears it was admitted
+            closer.join(5)
+            assert not closer.is_alive()
+        finally:
+            release.set()
+            listener.close()
+            transport.close()
+
 
 def wait_until(predicate, timeout_s=5.0):
     deadline = time.monotonic() + timeout_s
