@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
 from . import wire
-from .transport import Endpoint, Receipt, TransportOpts, parse_endpoint
+from .transport import BusyError, Endpoint, Receipt, TransportOpts, parse_endpoint
 from .wire import Frame, FrameKind, FieldDescriptor, StateRecord
 
 log = logging.getLogger(__name__)
@@ -272,8 +272,8 @@ class Agency:
     itinerary stop and relay target with it. ``opts`` sets how frames are sent.
 
     ``hops`` is the hop log: one ``HopRecord`` per hop run here and per launch,
-    the newest ``HOP_LOG_RECORDS`` of them. Hops run on other threads in
-    real-socket mode, so read it there through a copy, ``list(agency.hops)``.
+    the newest ``HOP_LOG_RECORDS`` of them. Hops run on the transport's workers
+    in real-socket mode, so read it there through a copy, ``list(agency.hops)``.
     ``failures`` maps an agent id to why it failed, here or as an ``ERROR``
     frame reported, and ``completions`` to what it brought home; each keeps
     the newest ``HOP_LOG_RECORDS``, and ``completions`` drops its oldest while
@@ -417,7 +417,10 @@ class Agency:
         except AdmissionError as exc:
             return wire.nack(exc.code, str(exc), exc.agent_id)
         if instance is not None:  # None for a probe: code present, nothing instantiated
-            self.transport.defer(lambda: self.run_hop(instance))
+            try:
+                self.transport.defer(lambda: self.run_hop(instance))
+            except BusyError as exc:  # refused before the ACK: the sender records the failure
+                return wire.nack(wire.ERR_INTERNAL, f"busy: {exc}", instance.agent_id)
         return wire.ACK
 
     # -- admission and execution -------------------------------------------

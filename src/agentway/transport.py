@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import ipaddress
 import logging
+import queue
 import socket
 import struct
+import sys
 import threading
 import time
 from collections import deque
@@ -33,6 +35,10 @@ class TransportError(Exception):
 
 class OversizeError(TransportError):
     pass
+
+
+class BusyError(TransportError):
+    """``defer`` queued nothing: ``MAX_QUEUED_HOPS`` tasks already wait for a worker."""
 
 
 @dataclass(frozen=True)
@@ -325,6 +331,8 @@ class ModeledTransport(_Transport):
 MAX_IDLE_PER_PEER = 4  # idle TCP connections a SocketTransport keeps per (peer, no_delay)
 MAX_CONNECTIONS = 64  # accepted TCP connections one listener serves at once
 CONN_TIMEOUT_S = 30.0  # a served connection's socket timeout: silent this long, idle or mid-frame, it is closed
+HOP_WORKERS = 2  # threads that run a SocketTransport's deferred tasks (admitted hops)
+MAX_QUEUED_HOPS = 64  # deferred tasks that may wait for those threads; one more is refused
 _HEADER_BYTES = 12
 
 
@@ -375,6 +383,15 @@ def _still_open(sock: socket.socket) -> bool:
     except OSError:
         return False
     return False  # end of stream, or bytes nobody asked for
+
+
+def _run_tasks(tasks: queue.Queue) -> None:
+    """A worker: run tasks until a ``None``; one that raises goes to ``threading.excepthook``."""
+    while (task := tasks.get()) is not None:
+        try:
+            task()
+        except Exception:  # reported as a thread of its own would be; the next task runs
+            threading.excepthook(threading.ExceptHookArgs((*sys.exc_info(), threading.current_thread())))
 
 
 class _SocketListener:
@@ -511,7 +528,9 @@ class SocketTransport(_Transport):
     written twice: a failure after the write is a ``TransportError``, so a hop
     runs at most once. UDP sends one datagram per frame, with one retransmission.
     ``serve`` answers each TCP connection on a thread of its own (``_TcpListener``)
-    and every UDP datagram on the listener's one thread.
+    and every UDP datagram on the listener's one thread. ``defer`` queues a hop for
+    ``HOP_WORKERS`` threads, all started at its first call. It never blocks a connection's
+    thread: with ``MAX_QUEUED_HOPS`` hops waiting, it raises ``BusyError``.
     """
 
     def __init__(self) -> None:
@@ -519,12 +538,22 @@ class SocketTransport(_Transport):
         self._idle_lock = threading.Lock()
         self._idle: dict[tuple, list[tuple[socket.socket, float]]] = {}  # (socket, idle since)
         self._generation = 0  # close() counts up; a connection taken before is not kept
+        self._pool_lock = threading.Lock()
+        self._tasks: Optional[queue.Queue] = None  # and its workers, from the first defer to close()
+        self._workers: list[threading.Thread] = []
 
     send_frame = _Transport.send_frame  # see ModeledTransport
 
     def close(self) -> None:
-        """Close the idle connections, and each connection in use once its send
-        is done; a later send connects afresh."""
+        """Run the queued tasks, end the workers (joining all but the calling thread), and close
+        the idle connections, and each in use once its send is done; later calls start afresh."""
+        with self._pool_lock:
+            tasks, workers, self._tasks, self._workers = self._tasks, self._workers, None, []
+        for _ in workers:
+            tasks.put(None)
+        for worker in workers:
+            if worker is not threading.current_thread():
+                worker.join()
         with self._idle_lock:
             idle, self._idle = self._idle, {}
             self._generation += 1
@@ -624,4 +653,12 @@ class SocketTransport(_Transport):
         return _UdpListener(sock, handler) if udp else _TcpListener(sock, handler)
 
     def defer(self, fn: Callable[[], None]) -> None:
-        threading.Thread(target=fn, daemon=True).start()
+        with self._pool_lock:  # close() takes the queue under it, so no task lands behind the Nones
+            if self._tasks is None:
+                self._tasks = queue.Queue(MAX_QUEUED_HOPS)
+                for _ in range(HOP_WORKERS):
+                    self._workers.append(threading.Thread(target=_run_tasks, args=(self._tasks,), daemon=True))
+                    self._workers[-1].start()
+            if self._tasks.full():  # only defer puts, under this lock, so the put below cannot fail
+                raise BusyError(f"{MAX_QUEUED_HOPS} deferred tasks already wait for a worker")
+            self._tasks.put_nowait(fn)

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import logging
 import random
@@ -12,6 +13,7 @@ import zlib
 import pytest
 
 from agentway import agency as agency_module
+from agentway import transport as transport_module
 from agentway import wire
 from agentway.agency import (
     Agency,
@@ -1011,3 +1013,112 @@ class TestOverUdp:
             client.close()
             relay.stop()
             target.stop()
+
+
+HELD_FIELDS = [FieldDescriptor("it", TypeTag.STRING_ARRAY), FieldDescriptor("data", TypeTag.STRING_ARRAY)]
+
+
+def held_behavior(host_name, entered, release):
+    """A behavior whose task, at ``host_name``, signals ``entered`` and waits for ``release``."""
+
+    def task(state, ctx):
+        if ctx.host_name == host_name and not release.is_set():
+            entered.release()
+            release.wait(10)
+
+    return Behavior("held", HELD_FIELDS, on_arrival=lambda state, ctx: None, task=task)
+
+
+def tcp_pair(behavior):
+    a, b = (Agency(name, Endpoint("127.0.0.1", 0), SocketTransport(), TransportOpts(no_delay=True))
+            for name in ("a", "b"))
+    img = image("MAExample", b"h" * 64)
+    for agency in (a, b):
+        agency.start()
+        agency.install_code(img)
+        agency.register_behavior("MAExample", behavior)
+    return a, b
+
+
+def launch(origin, itinerary):
+    return origin.launch(StateRecord(kind_name="MAExample", fields=HELD_FIELDS), itinerary)
+
+
+class TestHopWorkersOverSockets:
+    """Admitted hops run on a fixed set of worker threads per transport, behind a bounded queue."""
+
+    def test_a_full_hop_queue_refuses_the_next_transfer_busy(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "MAX_QUEUED_HOPS", 1)
+        entered, release = threading.Semaphore(0), threading.Event()
+        a, b = tcp_pair(held_behavior("a", entered, release))
+        busy = f"code {wire.ERR_INTERNAL}: busy"
+        try:
+            held = []
+            for _ in range(transport_module.HOP_WORKERS):  # each of A's workers holds a hop from B
+                held.append(launch(b, [a.bind, b.bind]))
+                assert entered.acquire(timeout=5)
+            held.append(launch(b, [a.bind, b.bind]))  # fills A's queue of one
+            monkeypatch.undo()  # B's queue, made at its first hop below, has the usual bound
+            with pytest.raises(AgencyError, match=busy):  # a launch refused at its first stop
+                launch(b, [a.bind, b.bind])
+            [refused_launch] = {hop.agent_id for hop in list(b.hops)} - set(held)
+            onward = launch(a, [b.bind, a.bind])  # B runs its hop and is refused at A, the origin
+            with pytest.raises(AgencyError, match=busy):
+                a.wait(onward, 1, 5)
+            assert busy in a.failures[onward]
+            release.set()
+            for agent_id in held:
+                assert b.wait(agent_id, 1, 5).status == "completed"
+            admitted = {(hop.agent_id, hop.hop_index) for agency in (a, b) for hop in list(agency.hops)}
+            assert (onward, 1) not in admitted and (onward, 0) in admitted
+            assert not [i for agent_id, i in admitted if agent_id == refused_launch and i >= 0]
+            assert refused_launch not in a.failures and refused_launch not in b.failures
+            assert set(b.completions) == set(held) and not a.completions
+        finally:
+            release.set()
+            a.stop()
+            b.stop()
+
+    def test_held_hops_wait_on_a_fixed_set_of_threads(self):
+        before = set(threading.enumerate())
+        entered, release = threading.Semaphore(0), threading.Event()
+        a, b = tcp_pair(held_behavior("b", entered, release))
+        try:
+            agents = [launch(a, [b.bind, a.bind]) for _ in range(32)]
+            for _ in range(transport_module.HOP_WORKERS):
+                assert entered.acquire(timeout=5)
+            connections = a._listener.open_connections + b._listener.open_connections
+            # the accept threads, the workers of both agencies and a thread per open connection
+            ceiling = len(before) + 2 + 2 * transport_module.HOP_WORKERS + connections
+            assert threading.active_count() <= ceiling
+            release.set()
+            for agent_id in agents:
+                assert a.wait(agent_id, 1, 10).status == "completed"
+        finally:
+            release.set()
+            a.stop()
+            b.stop()
+        assert set(threading.enumerate()) - before == set()
+
+    def test_round_trips_connect_at_most_once_per_sending_thread(self):
+        a, b = tcp_pair(pingpong_behavior(HELD_FIELDS))
+        connects = collections.Counter()
+        for agency in (a, b):
+            def counted(endpoint, opts, connect=agency.transport._connect, name=agency.host_name):
+                connects[name] += 1
+                return connect(endpoint, opts)
+
+            agency.transport._connect = counted
+        try:
+            in_flight = collections.deque()
+            for _ in range(200):
+                if len(in_flight) == 2:
+                    assert a.wait(in_flight.popleft(), 1, 5).status == "completed"
+                in_flight.append(launch(a, [b.bind, a.bind]))
+            for agent_id in in_flight:
+                assert a.wait(agent_id, 1, 5).status == "completed"
+        finally:
+            a.stop()
+            b.stop()
+        # a connection per thread that sends: A sends from the launching thread only, B from its workers
+        assert connects["a"] == 1 and 1 <= connects["b"] <= transport_module.HOP_WORKERS

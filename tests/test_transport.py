@@ -11,6 +11,8 @@ import pytest
 from agentway import transport as transport_module
 from agentway import wire
 from agentway.transport import (
+    HOP_WORKERS,
+    BusyError,
     Endpoint,
     InProcNetwork,
     Link,
@@ -727,3 +729,95 @@ class TestTcpConnections:
             release.set()
             sender.join(5)
             listener.close()
+
+
+class TestHopWorkers:
+    """``SocketTransport.defer`` runs tasks on ``HOP_WORKERS`` threads fed by a bounded queue."""
+
+    def hold_the_workers(self, transport):
+        """Defer a task per worker that waits on the returned event; return once each runs."""
+        entered, release = threading.Semaphore(0), threading.Event()
+
+        def hold():
+            entered.release()
+            release.wait(5)
+
+        for _ in range(HOP_WORKERS):  # one at a time: the queue may hold a single task
+            transport.defer(hold)
+            assert entered.acquire(timeout=5)
+        return release
+
+    def test_a_raising_task_is_reported_and_its_worker_runs_the_next(self, monkeypatch):
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        before = set(threading.enumerate())
+        transport, ran = SocketTransport(), threading.Event()
+
+        def boom():
+            raise ValueError("task failed")
+
+        try:
+            for _ in range(HOP_WORKERS + 1):  # more than the workers: one of them survives a raise
+                transport.defer(boom)
+            transport.defer(ran.set)
+            assert ran.wait(5)
+            workers = set(threading.enumerate()) - before
+        finally:
+            transport.close()
+        assert [type(crash.exc_value) for crash in crashes] == [ValueError] * (HOP_WORKERS + 1)
+        assert {crash.thread for crash in crashes} <= workers and len(workers) == HOP_WORKERS
+        assert set(threading.enumerate()) - before == set()
+
+    def test_a_full_queue_refuses_a_task_busy(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "MAX_QUEUED_HOPS", 1)
+        transport, ran = SocketTransport(), []
+        release = self.hold_the_workers(transport)
+        try:
+            transport.defer(lambda: ran.append("queued"))
+            with pytest.raises(BusyError):
+                transport.defer(lambda: ran.append("refused"))
+        finally:
+            release.set()
+            transport.close()
+        assert ran == ["queued"]
+
+    def test_close_runs_the_queued_tasks_then_ends_every_worker(self):
+        before = set(threading.enumerate())
+        transport, ran = SocketTransport(), []
+        release = self.hold_the_workers(transport)
+        for i in range(5):
+            transport.defer(lambda i=i: ran.append(i))
+        closer = threading.Thread(target=transport.close)
+        try:
+            closer.start()
+            closer.join(0.2)
+            assert closer.is_alive() and ran == []  # it waits for the held workers
+        finally:
+            release.set()
+            closer.join(5)
+        assert not closer.is_alive()
+        assert sorted(ran) == list(range(5))
+        assert set(threading.enumerate()) - before == set()
+
+    def test_a_defer_after_close_starts_a_fresh_pool(self):
+        before = set(threading.enumerate())
+        transport = SocketTransport()
+        for _ in range(2):
+            ran = threading.Event()
+            transport.defer(ran.set)
+            assert ran.wait(5)
+            assert len(set(threading.enumerate()) - before) == HOP_WORKERS
+            transport.close()
+            assert set(threading.enumerate()) - before == set()
+
+    def test_close_from_a_worker_returns_without_joining_itself(self):
+        before = set(threading.enumerate())
+        transport, closed = SocketTransport(), threading.Event()
+
+        def close_here():
+            transport.close()
+            closed.set()
+
+        transport.defer(close_here)
+        assert closed.wait(5)
+        assert wait_until(lambda: set(threading.enumerate()) - before == set())
