@@ -272,7 +272,7 @@ class Agency:
     itinerary stop and relay target with it. ``opts`` sets how frames are sent.
 
     ``hops`` is the hop log: one ``HopRecord`` per hop run here and per launch,
-    the newest ``HOP_LOG_RECORDS`` of them. Hops run on the transport's workers
+    the newest ``HOP_LOG_RECORDS`` of them. Hops run on the transport's hop threads
     in real-socket mode, so read it there through a copy, ``list(agency.hops)``.
     ``failures`` maps an agent id to why it failed, here or as an ``ERROR``
     frame reported, and ``completions`` to what it brought home; each keeps
@@ -313,6 +313,8 @@ class Agency:
             self.bind = Endpoint(self.bind.address, self._listener.endpoint_port, self.bind.protocol)
 
     def stop(self) -> None:
+        """Stop listening, then close the transport. Over sockets that waits for the replies
+        in hand and up to ``transport.CLOSE_WAIT_S`` for hops in progress, which go on after."""
         if self._listener is not None:
             self._listener.close()
             self._listener = None

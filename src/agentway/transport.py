@@ -38,7 +38,7 @@ class OversizeError(TransportError):
 
 
 class BusyError(TransportError):
-    """``defer`` queued nothing: ``MAX_QUEUED_HOPS`` tasks already wait for a worker."""
+    """``defer`` queued nothing: ``MAX_QUEUED_HOPS`` tasks already wait for a thread."""
 
 
 @dataclass(frozen=True)
@@ -331,8 +331,10 @@ class ModeledTransport(_Transport):
 MAX_IDLE_PER_PEER = 4  # idle TCP connections a SocketTransport keeps per (peer, no_delay)
 MAX_CONNECTIONS = 64  # accepted TCP connections one listener serves at once
 CONN_TIMEOUT_S = 30.0  # a served connection's socket timeout: silent this long, idle or mid-frame, it is closed
-HOP_WORKERS = 2  # threads that run a SocketTransport's deferred tasks (admitted hops)
-MAX_QUEUED_HOPS = 64  # deferred tasks that may wait for those threads; one more is refused
+HOP_WORKERS = 2  # threads kept to run a SocketTransport's deferred tasks (admitted hops)
+MAX_HOP_THREADS = 32  # threads that may run them at once; those beyond HOP_WORKERS end when idle
+MAX_QUEUED_HOPS = 64  # deferred tasks that may wait while MAX_HOP_THREADS run; one more is refused
+CLOSE_WAIT_S = 5.0  # close() waits this long for those threads; one still busy ends on its own
 _HEADER_BYTES = 12
 
 
@@ -385,13 +387,86 @@ def _still_open(sock: socket.socket) -> bool:
     return False  # end of stream, or bytes nobody asked for
 
 
-def _run_tasks(tasks: queue.Queue) -> None:
-    """A worker: run tasks until a ``None``; one that raises goes to ``threading.excepthook``."""
-    while (task := tasks.get()) is not None:
-        try:
-            task()
-        except Exception:  # reported as a thread of its own would be; the next task runs
-            threading.excepthook(threading.ExceptHookArgs((*sys.exc_info(), threading.current_thread())))
+class _HopThreads:
+    """The threads that run a ``SocketTransport``'s deferred tasks (admitted hops).
+
+    ``HOP_WORKERS`` threads wait for tasks until ``close``. A task that finds
+    every thread busy starts one more, up to ``MAX_HOP_THREADS``. Unless a busy
+    one comes free within a few of the interpreter's switch intervals, that
+    thread takes tasks until none is queued, then ends; so a hop held up by its
+    behavior or by a stalled peer holds up no other for longer than that.
+    Beyond that ``MAX_QUEUED_HOPS`` tasks may wait, and one more is a
+    ``BusyError``: ``submit`` never blocks. A task that raises goes to
+    ``threading.excepthook``; its thread goes on.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Condition(threading.Lock())  # notified as each task ends
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._threads: list[threading.Thread] = []
+        self._pending = 0  # tasks queued or running
+        for _ in range(HOP_WORKERS):
+            self._start(keep=True)
+
+    def _start(self, keep: bool) -> None:
+        self._threads.append(threading.Thread(target=self._run, args=(keep,), daemon=True))
+        self._threads[-1].start()
+
+    def submit(self, fn: Callable[[], None]) -> None:
+        with self._lock:
+            if self._pending >= MAX_HOP_THREADS + MAX_QUEUED_HOPS:
+                raise BusyError(f"{MAX_QUEUED_HOPS} deferred tasks already wait for a thread")
+            self._pending += 1
+            self._tasks.put(fn)
+            if self._pending > len(self._threads) < MAX_HOP_THREADS:
+                self._start(keep=False)
+
+    def _next(self, keep: bool) -> Optional[Callable[[], None]]:
+        if keep:
+            return self._tasks.get()
+        with self._lock:  # submit() puts under it, so no task is left behind a thread that ends
+            try:
+                return self._tasks.get_nowait()
+            except queue.Empty:
+                self._threads.remove(threading.current_thread())
+                return None
+
+    def _freed_in_time(self) -> bool:
+        """Wait a few switch intervals for a busy thread to come free (one done with its task
+        may wait that long to run again); if one does, this one is not needed and ends."""
+        with self._lock:
+            if self._lock.wait_for(lambda: self._pending < len(self._threads), 4 * sys.getswitchinterval()):
+                self._threads.remove(threading.current_thread())
+                return True
+        return False
+
+    def _run(self, keep: bool) -> None:
+        if not keep and self._freed_in_time():
+            return
+        while (task := self._next(keep)) is not None:
+            try:
+                task()
+            except Exception as exc:  # reported as a thread of its own would be
+                threading.excepthook(threading.ExceptHookArgs(
+                    (type(exc), exc, exc.__traceback__, threading.current_thread())))
+            with self._lock:
+                self._pending -= 1
+                self._lock.notify()
+
+    def close(self) -> None:
+        """Let the threads run the queued tasks and end. Wait up to ``CLOSE_WAIT_S``
+        for them, the calling thread aside, and log how many are still busy."""
+        with self._lock:
+            threads = list(self._threads)
+        for _ in threads:
+            self._tasks.put(None)
+        deadline = time.monotonic() + CLOSE_WAIT_S
+        others = [t for t in threads if t is not threading.current_thread()]
+        for thread in others:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        if busy := sum(t.is_alive() for t in others):
+            log.warning("%d hop threads still busy after %.0f s; each ends after the queued tasks",
+                        busy, CLOSE_WAIT_S)
 
 
 class _SocketListener:
@@ -528,9 +603,8 @@ class SocketTransport(_Transport):
     written twice: a failure after the write is a ``TransportError``, so a hop
     runs at most once. UDP sends one datagram per frame, with one retransmission.
     ``serve`` answers each TCP connection on a thread of its own (``_TcpListener``)
-    and every UDP datagram on the listener's one thread. ``defer`` queues a hop for
-    ``HOP_WORKERS`` threads, all started at its first call. It never blocks a connection's
-    thread: with ``MAX_QUEUED_HOPS`` hops waiting, it raises ``BusyError``.
+    and every UDP datagram on the listener's one thread. ``defer`` hands a hop to
+    ``_HopThreads``, made at its first call; it never blocks a connection's thread.
     """
 
     def __init__(self) -> None:
@@ -538,22 +612,18 @@ class SocketTransport(_Transport):
         self._idle_lock = threading.Lock()
         self._idle: dict[tuple, list[tuple[socket.socket, float]]] = {}  # (socket, idle since)
         self._generation = 0  # close() counts up; a connection taken before is not kept
-        self._pool_lock = threading.Lock()
-        self._tasks: Optional[queue.Queue] = None  # and its workers, from the first defer to close()
-        self._workers: list[threading.Thread] = []
+        self._hops_lock = threading.Lock()
+        self._hops: Optional[_HopThreads] = None  # from the first defer to close()
 
     send_frame = _Transport.send_frame  # see ModeledTransport
 
     def close(self) -> None:
-        """Run the queued tasks, end the workers (joining all but the calling thread), and close
-        the idle connections, and each in use once its send is done; later calls start afresh."""
-        with self._pool_lock:
-            tasks, workers, self._tasks, self._workers = self._tasks, self._workers, None, []
-        for _ in workers:
-            tasks.put(None)
-        for worker in workers:
-            if worker is not threading.current_thread():
-                worker.join()
+        """End the hop threads (``_HopThreads.close``), and close the idle connections, and
+        each in use once its send is done; a later send or ``defer`` starts afresh."""
+        with self._hops_lock:
+            hops, self._hops = self._hops, None
+        if hops is not None:
+            hops.close()
         with self._idle_lock:
             idle, self._idle = self._idle, {}
             self._generation += 1
@@ -653,12 +723,7 @@ class SocketTransport(_Transport):
         return _UdpListener(sock, handler) if udp else _TcpListener(sock, handler)
 
     def defer(self, fn: Callable[[], None]) -> None:
-        with self._pool_lock:  # close() takes the queue under it, so no task lands behind the Nones
-            if self._tasks is None:
-                self._tasks = queue.Queue(MAX_QUEUED_HOPS)
-                for _ in range(HOP_WORKERS):
-                    self._workers.append(threading.Thread(target=_run_tasks, args=(self._tasks,), daemon=True))
-                    self._workers[-1].start()
-            if self._tasks.full():  # only defer puts, under this lock, so the put below cannot fail
-                raise BusyError(f"{MAX_QUEUED_HOPS} deferred tasks already wait for a worker")
-            self._tasks.put_nowait(fn)
+        with self._hops_lock:  # close() takes the threads under it, so no task lands behind its Nones
+            if self._hops is None:
+                self._hops = _HopThreads()
+            self._hops.submit(fn)

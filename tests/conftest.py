@@ -1,5 +1,6 @@
 import random
 import string
+import time
 
 import pytest
 
@@ -9,6 +10,16 @@ from agentway.transport import Endpoint, InProcNetwork, ModeledTransport, Transp
 from agentway.wire import FieldDescriptor, StateRecord, TypeTag
 
 VALUE_TAGS = list(TypeTag)
+
+
+def wait_until(predicate, timeout_s=5.0):
+    """Poll ``predicate`` until it holds (True) or ``timeout_s`` passes (False)."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
 
 
 def random_value(rng: random.Random, tag: TypeTag):

@@ -27,7 +27,7 @@ from agentway.agency import (
 )
 from agentway.transport import Endpoint, InProcNetwork, ModeledTransport, SocketTransport, TransportOpts
 from agentway.wire import FieldDescriptor, Frame, FrameKind, StateRecord, TypeTag
-from conftest import Cluster
+from conftest import Cluster, wait_until
 
 
 def image(kind="A", code=b"code-A"):
@@ -1045,9 +1045,11 @@ def launch(origin, itinerary):
 
 
 class TestHopWorkersOverSockets:
-    """Admitted hops run on a fixed set of worker threads per transport, behind a bounded queue."""
+    """Admitted hops run on a transport's hop threads: kept workers, one more thread per hop
+    that finds them all busy up to ``MAX_HOP_THREADS``, then a bounded queue."""
 
     def test_a_full_hop_queue_refuses_the_next_transfer_busy(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "MAX_HOP_THREADS", transport_module.HOP_WORKERS)
         monkeypatch.setattr(transport_module, "MAX_QUEUED_HOPS", 1)
         entered, release = threading.Semaphore(0), threading.Event()
         a, b = tcp_pair(held_behavior("a", entered, release))
@@ -1058,7 +1060,6 @@ class TestHopWorkersOverSockets:
                 held.append(launch(b, [a.bind, b.bind]))
                 assert entered.acquire(timeout=5)
             held.append(launch(b, [a.bind, b.bind]))  # fills A's queue of one
-            monkeypatch.undo()  # B's queue, made at its first hop below, has the usual bound
             with pytest.raises(AgencyError, match=busy):  # a launch refused at its first stop
                 launch(b, [a.bind, b.bind])
             [refused_launch] = {hop.agent_id for hop in list(b.hops)} - set(held)
@@ -1066,6 +1067,7 @@ class TestHopWorkersOverSockets:
             with pytest.raises(AgencyError, match=busy):
                 a.wait(onward, 1, 5)
             assert busy in a.failures[onward]
+            monkeypatch.undo()  # so B, where the held agents end, refuses none of them
             release.set()
             for agent_id in held:
                 assert b.wait(agent_id, 1, 5).status == "completed"
@@ -1079,17 +1081,19 @@ class TestHopWorkersOverSockets:
             a.stop()
             b.stop()
 
-    def test_held_hops_wait_on_a_fixed_set_of_threads(self):
+    def test_held_hops_wait_on_a_bounded_set_of_threads(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "MAX_HOP_THREADS", 4)
         before = set(threading.enumerate())
         entered, release = threading.Semaphore(0), threading.Event()
         a, b = tcp_pair(held_behavior("b", entered, release))
         try:
             agents = [launch(a, [b.bind, a.bind]) for _ in range(32)]
-            for _ in range(transport_module.HOP_WORKERS):
+            for _ in range(transport_module.MAX_HOP_THREADS):
                 assert entered.acquire(timeout=5)
+            assert not entered.acquire(timeout=0.1)  # the other 28 wait in B's queue
             connections = a._listener.open_connections + b._listener.open_connections
-            # the accept threads, the workers of both agencies and a thread per open connection
-            ceiling = len(before) + 2 + 2 * transport_module.HOP_WORKERS + connections
+            # the accept threads, the hop threads of both agencies and a thread per open connection
+            ceiling = len(before) + 2 + 2 * transport_module.MAX_HOP_THREADS + connections
             assert threading.active_count() <= ceiling
             release.set()
             for agent_id in agents:
@@ -1100,7 +1104,52 @@ class TestHopWorkersOverSockets:
             b.stop()
         assert set(threading.enumerate()) - before == set()
 
-    def test_round_trips_connect_at_most_once_per_sending_thread(self):
+    def test_hops_to_a_stalled_stop_hold_up_no_other_hop(self):
+        a, b = tcp_pair(pingpong_behavior(HELD_FIELDS))
+        connects = []
+        b.transport._connect = lambda endpoint, opts, connect=b.transport._connect: (
+            connects.append(endpoint) or connect(endpoint, opts))
+        with socket.socket() as stalled:  # accepts connections, never answers
+            stalled.bind(("127.0.0.1", 0))
+            stalled.listen(8)
+            stop = Endpoint("127.0.0.1", stalled.getsockname()[1])
+            try:
+                stuck = [launch(a, [b.bind, stop, a.bind]) for _ in range(transport_module.HOP_WORKERS + 1)]
+                assert wait_until(lambda: connects.count(stop) == len(stuck))  # each waits on its reply
+                start = time.monotonic()
+                assert a.wait(launch(a, [b.bind, a.bind]), 1, 3).status == "completed"
+                assert time.monotonic() - start < 1.0
+                assert not [agent_id for agent_id in stuck if agent_id in a.failures]
+            finally:
+                stalled.close()  # resets the connections it never accepted: each stuck hop fails
+                for agent_id in stuck:
+                    with pytest.raises(AgencyError, match="tcp send"):
+                        a.wait(agent_id, 2, 10)
+                a.stop()
+                b.stop()
+
+    def test_stop_waits_a_bounded_time_for_a_held_hop(self, monkeypatch, caplog):
+        monkeypatch.setattr(transport_module, "CLOSE_WAIT_S", 0.2)
+        before = set(threading.enumerate())
+        entered, release = threading.Semaphore(0), threading.Event()
+        a, b = tcp_pair(held_behavior("b", entered, release))
+        try:
+            agent_id = launch(a, [b.bind, a.bind])
+            assert entered.acquire(timeout=5)
+            start = time.monotonic()
+            with caplog.at_level(logging.WARNING, logger="agentway.transport"):
+                b.stop()
+            assert time.monotonic() - start < 2.0
+            assert "1 hop threads still busy" in caplog.text
+            release.set()  # the hop goes on, and reaches A over a fresh connection
+            assert a.wait(agent_id, 1, 5).status == "completed"
+        finally:
+            release.set()
+            a.stop()
+            b.stop()
+        assert wait_until(lambda: set(threading.enumerate()) - before == set())
+
+    def test_round_trips_connect_at_most_once_per_concurrent_send(self):
         a, b = tcp_pair(pingpong_behavior(HELD_FIELDS))
         connects = collections.Counter()
         for agency in (a, b):
@@ -1120,5 +1169,6 @@ class TestHopWorkersOverSockets:
         finally:
             a.stop()
             b.stop()
-        # a connection per thread that sends: A sends from the launching thread only, B from its workers
-        assert connects["a"] == 1 and 1 <= connects["b"] <= transport_module.HOP_WORKERS
+        # A sends from the launching thread only. B sends each agent on, at most 2 at once, but
+        # one agent's send may still be reading its ACK when the next hop there sends
+        assert connects["a"] == 1 and 1 <= connects["b"] <= transport_module.HOP_WORKERS + 1

@@ -1,7 +1,9 @@
+import collections
 import gc
 import logging
 import socket
 import struct
+import sys
 import threading
 import time
 import warnings
@@ -26,6 +28,7 @@ from agentway.transport import (
     read_frame_bytes,
 )
 from agentway.wire import Frame, FrameKind
+from conftest import wait_until
 
 LOOP = "127.0.0.1"
 
@@ -439,15 +442,6 @@ class TestListenerClose:
             transport.close()
 
 
-def wait_until(predicate, timeout_s=5.0):
-    deadline = time.monotonic() + timeout_s
-    while not predicate():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.001)
-    return True
-
-
 class TestTcpConnections:
     def test_one_connection_carries_many_frames(self):
         sources = []
@@ -732,22 +726,24 @@ class TestTcpConnections:
 
 
 class TestHopWorkers:
-    """``SocketTransport.defer`` runs tasks on ``HOP_WORKERS`` threads fed by a bounded queue."""
+    """``SocketTransport.defer`` runs tasks on ``HOP_WORKERS`` kept threads, one more per
+    task that finds every thread busy up to ``MAX_HOP_THREADS``, then a bounded queue."""
 
-    def hold_the_workers(self, transport):
-        """Defer a task per worker that waits on the returned event; return once each runs."""
+    def hold_the_threads(self, transport, n=HOP_WORKERS):
+        """Defer ``n`` tasks that wait on the returned event; return once each runs."""
         entered, release = threading.Semaphore(0), threading.Event()
 
         def hold():
             entered.release()
             release.wait(5)
 
-        for _ in range(HOP_WORKERS):  # one at a time: the queue may hold a single task
+        for _ in range(n):  # one at a time: the queue may hold a single task
             transport.defer(hold)
             assert entered.acquire(timeout=5)
         return release
 
     def test_a_raising_task_is_reported_and_its_worker_runs_the_next(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "MAX_HOP_THREADS", HOP_WORKERS)
         crashes = []
         monkeypatch.setattr(threading, "excepthook", crashes.append)
         before = set(threading.enumerate())
@@ -768,10 +764,64 @@ class TestHopWorkers:
         assert {crash.thread for crash in crashes} <= workers and len(workers) == HOP_WORKERS
         assert set(threading.enumerate()) - before == set()
 
+    def test_a_task_that_finds_every_thread_busy_starts_one_more(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "MAX_HOP_THREADS", HOP_WORKERS + 1)
+        before = set(threading.enumerate())
+        transport, first, second = SocketTransport(), threading.Event(), threading.Event()
+        release = self.hold_the_threads(transport)
+        try:
+            transport.defer(first.set)  # every worker is held: a thread of its own runs it
+            assert first.wait(5)
+            assert wait_until(lambda: len(set(threading.enumerate()) - before) == HOP_WORKERS)
+            release.set()
+            release = self.hold_the_threads(transport, HOP_WORKERS + 1)
+            transport.defer(second.set)  # MAX_HOP_THREADS are held: it waits in the queue
+            assert not second.wait(0.2)
+            assert len(set(threading.enumerate()) - before) == HOP_WORKERS + 1
+        finally:
+            release.set()
+        assert second.wait(5)
+        transport.close()
+        assert set(threading.enumerate()) - before == set()
+
+    def test_concurrent_defers_run_each_admitted_task_once_and_the_counts_return(self):
+        interval = sys.getswitchinterval()
+        transport, lock, ran, refused = SocketTransport(), threading.Lock(), collections.Counter(), []
+
+        def task(key):
+            with lock:
+                ran[key] += 1
+            time.sleep(0.0001)
+
+        def submit(n):
+            for i in range(200):
+                try:
+                    transport.defer(lambda key=(n, i): task(key))
+                except BusyError:
+                    refused.append((n, i))
+
+        submitters = [threading.Thread(target=submit, args=(n,)) for n in range(4)]
+        try:
+            sys.setswitchinterval(1e-6)
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(10)
+                assert not thread.is_alive()
+            hops = transport._hops
+            # a lost update to the count of tasks in hand would leave it above 0, or an extra thread
+            assert wait_until(lambda: hops._pending == 0 and len(hops._threads) == HOP_WORKERS)
+        finally:
+            sys.setswitchinterval(interval)
+            transport.close()
+        assert len(ran) + len(refused) == 800 and set(ran.values()) == {1}
+        assert not set(ran) & set(refused)
+
     def test_a_full_queue_refuses_a_task_busy(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "MAX_HOP_THREADS", HOP_WORKERS)
         monkeypatch.setattr(transport_module, "MAX_QUEUED_HOPS", 1)
         transport, ran = SocketTransport(), []
-        release = self.hold_the_workers(transport)
+        release = self.hold_the_threads(transport)
         try:
             transport.defer(lambda: ran.append("queued"))
             with pytest.raises(BusyError):
@@ -781,10 +831,11 @@ class TestHopWorkers:
             transport.close()
         assert ran == ["queued"]
 
-    def test_close_runs_the_queued_tasks_then_ends_every_worker(self):
+    def test_close_runs_the_queued_tasks_then_ends_every_worker(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "MAX_HOP_THREADS", HOP_WORKERS)
         before = set(threading.enumerate())
         transport, ran = SocketTransport(), []
-        release = self.hold_the_workers(transport)
+        release = self.hold_the_threads(transport)
         for i in range(5):
             transport.defer(lambda i=i: ran.append(i))
         closer = threading.Thread(target=transport.close)
@@ -798,6 +849,24 @@ class TestHopWorkers:
         assert not closer.is_alive()
         assert sorted(ran) == list(range(5))
         assert set(threading.enumerate()) - before == set()
+
+    def test_close_waits_at_most_close_wait_s_then_the_threads_end_on_their_own(self, monkeypatch, caplog):
+        monkeypatch.setattr(transport_module, "MAX_HOP_THREADS", HOP_WORKERS)
+        monkeypatch.setattr(transport_module, "CLOSE_WAIT_S", 0.2)
+        before = set(threading.enumerate())
+        transport, ran = SocketTransport(), threading.Event()
+        release = self.hold_the_threads(transport)
+        transport.defer(ran.set)
+        try:
+            start = time.monotonic()
+            with caplog.at_level(logging.WARNING, logger="agentway.transport"):
+                transport.close()
+            assert time.monotonic() - start < 1.0 and not ran.is_set()
+            assert f"{HOP_WORKERS} hop threads still busy" in caplog.text
+        finally:
+            release.set()
+        assert ran.wait(5)  # the task queued before close() still runs
+        assert wait_until(lambda: set(threading.enumerate()) - before == set())
 
     def test_a_defer_after_close_starts_a_fresh_pool(self):
         before = set(threading.enumerate())
