@@ -434,11 +434,11 @@ def default_size_variants() -> list[SizeVariant]:
         ),
         SizeVariant(
             "non-optimised composite", non_optimised_record(),
-            java_ref=(628, 391),
+            java_ref=tuple(PAPER_REFERENCE["figure3_bytes"]["non_optimised"].values()),
         ),
         SizeVariant(
             "optimised composite", optimised_record(),
-            java_ref=(333, 227),
+            java_ref=tuple(PAPER_REFERENCE["figure3_bytes"]["optimised"].values()),
         ),
     ]
 
@@ -595,10 +595,11 @@ def render_report(results, format: str = "csv") -> str:
         ]
         out = _tabulate(header, rows, format)
         if results.reduction_pct_uncompressed is not None:
+            java = PAPER_REFERENCE["figure3_bytes"]["reduction_pct"]
             note = (
                 f"composite reduction: {results.reduction_pct_uncompressed}% uncompressed, "
                 f"{results.reduction_pct_compressed}% compressed "
-                f"(Java reference: 47% / 41.9%)"
+                f"(Java reference: {java['uncompressed']:g}% / {java['compressed']:g}%)"
             )
             out += ("\n# " if format == "csv" else "\n\n") + note + "\n"
         return out

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-import time
+import threading
 from typing import Optional
 
 from . import bench, wire
@@ -144,8 +144,7 @@ def cmd_serve(args) -> int:
     agency.start()
     log.info("agency %s serving on %s", agency.host_name, agency.bind)
     try:
-        while True:
-            time.sleep(0.5)
+        threading.Event().wait()  # until SIGINT interrupts it
     except KeyboardInterrupt:
         return 0
     finally:

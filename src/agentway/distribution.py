@@ -59,10 +59,12 @@ class Topology:
             mdm = self.mdms.get(seg)
             if mdm is not None and seen.get(mdm.key) != seg:
                 raise DistributionError(f"MDM {mdm} is not a member of segment {seg!r}")
-        # make sure every declared link id exists as a Link
-        for seg_a in self.segments:
-            for seg_b in self.segments:
-                self.link(link_id_for(seg_a, seg_b))
+        # every link between two segments, or inside one, exists as a Link; no other does
+        ids = [link_id_for(seg_a, seg_b) for seg_a in self.segments for seg_b in self.segments]
+        if stray := sorted(set(self.links) - set(ids)):
+            raise DistributionError(f"no link {stray[0]!r} in the topology")
+        for link_id in ids:
+            self.links.setdefault(link_id, Link(link_id))
 
     def segment_of(self, endpoint: Endpoint) -> str:
         seg = self._segment_of.get(endpoint.key)
@@ -76,7 +78,7 @@ class Topology:
 
     def link(self, link_id: str) -> Link:
         if link_id not in self.links:
-            self.links[link_id] = Link(link_id)
+            raise DistributionError(f"no link {link_id!r} in the topology")
         return self.links[link_id]
 
     def link_between(self, seg_a: str, seg_b: str) -> Link:

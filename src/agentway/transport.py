@@ -11,7 +11,6 @@ import ipaddress
 import logging
 import queue
 import socket
-import struct
 import sys
 import threading
 import time
@@ -328,25 +327,13 @@ class ModeledTransport(_Transport):
 # ---------------------------------------------------------------------------
 # real sockets
 
-MAX_IDLE_PER_PEER = 4  # idle TCP connections a SocketTransport keeps per (peer, no_delay)
+MAX_IDLE = 16  # idle TCP connections a SocketTransport keeps, over all peers
 MAX_CONNECTIONS = 64  # accepted TCP connections one listener serves at once
 CONN_TIMEOUT_S = 30.0  # a served connection's socket timeout: silent this long, idle or mid-frame, it is closed
 HOP_WORKERS = 2  # threads kept to run a SocketTransport's deferred tasks (admitted hops)
 MAX_HOP_THREADS = 32  # threads that may run them at once; those beyond HOP_WORKERS end when idle
 MAX_QUEUED_HOPS = 64  # deferred tasks that may wait while MAX_HOP_THREADS run; one more is refused
 CLOSE_WAIT_S = 5.0  # close() waits this long for those threads; one still busy ends on its own
-_HEADER_BYTES = 12
-
-
-def _frame_end(header: bytes) -> int:
-    """Length of the whole frame that starts with this 12-byte header, magic and
-    ``MAX_FRAME_BYTES`` checked, so no peer makes a reader buffer more."""
-    if header[:4] != wire.MAGIC:
-        raise wire.WireError(f"bad magic {header[:4]!r}")
-    end = _HEADER_BYTES + struct.unpack_from(">I", header, 8)[0] + 4  # + CRC
-    if end > MAX_FRAME_BYTES:
-        raise wire.WireError(f"frame of {end} bytes exceeds the limit of {MAX_FRAME_BYTES}")
-    return end
 
 
 def _read_exactly(sock: socket.socket, n: int) -> bytes:
@@ -361,8 +348,8 @@ def _read_exactly(sock: socket.socket, n: int) -> bytes:
 
 def read_frame_bytes(sock: socket.socket) -> bytes:
     """Read one complete frame off a TCP stream, validating the header first."""
-    header = _read_exactly(sock, _HEADER_BYTES)
-    return header + _read_exactly(sock, _frame_end(header) - _HEADER_BYTES)
+    header = _read_exactly(sock, wire.HEADER_LEN)
+    return header + _read_exactly(sock, wire.frame_length(header) - wire.HEADER_LEN)
 
 
 def _send_whole(sock: socket.socket, data: bytes) -> None:
@@ -595,9 +582,10 @@ class SocketTransport(_Transport):
     """Frames over real sockets, one ACK/ERROR back for each.
 
     TCP connections are reused: a connection carries one frame at a time, its
-    reply read before the connection joins the idle set kept per
-    (peer, ``no_delay``), at most ``MAX_IDLE_PER_PEER`` of them. An idle
-    connection is taken again only if the peer has not closed it meanwhile and
+    reply read before the connection joins the transport's one idle list, which
+    holds at most ``MAX_IDLE`` over all peers; one put past that closes the
+    connection idle longest. A send takes the newest idle connection to its
+    (peer, ``no_delay``), and only if the peer has not closed it meanwhile and
     it has been idle for less than half of ``CONN_TIMEOUT_S``, so it is never
     written just as the peer's listener closes it for silence. A frame is never
     written twice: a failure after the write is a ``TransportError``, so a hop
@@ -605,31 +593,30 @@ class SocketTransport(_Transport):
     ``serve`` answers each TCP connection on a thread of its own (``_TcpListener``)
     and every UDP datagram on the listener's one thread. ``defer`` hands a hop to
     ``_HopThreads``, made at its first call; it never blocks a connection's thread.
+    ``close`` is final.
     """
 
     def __init__(self) -> None:
         super().__init__(StatsRegistry())
-        self._idle_lock = threading.Lock()
-        self._idle: dict[tuple, list[tuple[socket.socket, float]]] = {}  # (socket, idle since)
-        self._generation = 0  # close() counts up; a connection taken before is not kept
-        self._hops_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._idle: list[tuple[tuple, socket.socket, float]] = []  # (key, socket, idle since), oldest first
         self._hops: Optional[_HopThreads] = None  # from the first defer to close()
+        self._closed = False
 
     send_frame = _Transport.send_frame  # see ModeledTransport
 
     def close(self) -> None:
-        """End the hop threads (``_HopThreads.close``), and close the idle connections, and
-        each in use once its send is done; a later send or ``defer`` starts afresh."""
-        with self._hops_lock:
+        """Close the idle connections, and each in use once its send is done, and end the hop
+        threads (``_HopThreads.close``). A later send connects and keeps nothing; a later
+        ``defer`` is a ``TransportError``."""
+        with self._lock:
+            self._closed = True
             hops, self._hops = self._hops, None
-        if hops is not None:
+            idle, self._idle = self._idle, []
+        for _, sock, _ in idle:
+            sock.close()
+        if hops is not None:  # outside the lock, which a hop ending its send meanwhile takes
             hops.close()
-        with self._idle_lock:
-            idle, self._idle = self._idle, {}
-            self._generation += 1
-        for entries in idle.values():
-            for sock, _ in entries:
-                sock.close()
 
     def _exchange(
         self, endpoint: Endpoint, data: bytes, opts: Optional[TransportOpts], link: Optional[Link]
@@ -640,28 +627,25 @@ class SocketTransport(_Transport):
         reply_bytes = exchange(endpoint, data, opts)
         return reply_bytes, time.perf_counter() - start
 
-    def _take_idle(self, key: tuple) -> tuple[Optional[socket.socket], int]:
-        """An idle connection fit for use, or None; and the generation it is taken in."""
+    def _take_idle(self, key: tuple) -> Optional[socket.socket]:
+        """The newest idle connection for ``key`` that is fit for use, or None."""
         while True:
-            with self._idle_lock:
-                generation = self._generation
-                idle = self._idle.get(key)
-                if not idle:
-                    return None, generation
-                sock, since = idle.pop()
-                if not idle:
-                    del self._idle[key]
+            with self._lock:
+                mine = [i for i, entry in enumerate(self._idle) if entry[0] == key]
+                if not mine:
+                    return None
+                _, sock, since = self._idle.pop(mine[-1])
             if time.monotonic() - since < CONN_TIMEOUT_S / 2 and _still_open(sock):
-                return sock, generation
+                return sock
             sock.close()
 
-    def _put_idle(self, key: tuple, sock: socket.socket, generation: int) -> None:
-        with self._idle_lock:
-            if generation == self._generation:
-                idle = self._idle.setdefault(key, [])
-                if len(idle) < MAX_IDLE_PER_PEER:
-                    idle.append((sock, time.monotonic()))
+    def _put_idle(self, key: tuple, sock: socket.socket) -> None:
+        with self._lock:
+            if not self._closed:
+                self._idle.append((key, sock, time.monotonic()))
+                if len(self._idle) <= MAX_IDLE:
                     return
+                sock = self._idle.pop(0)[1]  # the one idle longest
         sock.close()
 
     def _connect(self, endpoint: Endpoint, opts: TransportOpts) -> socket.socket:
@@ -675,8 +659,7 @@ class SocketTransport(_Transport):
 
     def _send_tcp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
         key = (endpoint.key, opts.no_delay)
-        sock, generation = self._take_idle(key)
-        sock = sock or self._connect(endpoint, opts)
+        sock = self._take_idle(key) or self._connect(endpoint, opts)
         try:
             sock.settimeout(opts.connect_timeout_s)
             _send_whole(sock, data)
@@ -687,7 +670,7 @@ class SocketTransport(_Transport):
         except BaseException:  # a reply cut short or malformed leaves the stream out of step
             sock.close()
             raise
-        self._put_idle(key, sock, generation)
+        self._put_idle(key, sock)
         return reply
 
     def _send_udp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
@@ -723,7 +706,9 @@ class SocketTransport(_Transport):
         return _UdpListener(sock, handler) if udp else _TcpListener(sock, handler)
 
     def defer(self, fn: Callable[[], None]) -> None:
-        with self._hops_lock:  # close() takes the threads under it, so no task lands behind its Nones
+        with self._lock:  # close() takes the threads under it, so no task lands behind its Nones
+            if self._closed:
+                raise TransportError("transport is closed")
             if self._hops is None:
                 self._hops = _HopThreads()
             self._hops.submit(fn)

@@ -21,6 +21,7 @@ from typing import Any, Callable, ClassVar, Iterable, Optional
 MAGIC = b"MAMP"
 VERSION = 1
 FRAME_OVERHEAD = 16  # magic(4) + version/kind/flags/reserved(4) + payload_len(4) + crc32(4)
+HEADER_LEN = 12  # the envelope before the payload: what a stream reader needs to learn a frame's length
 
 FLAG_COMPRESSED = 0x01
 FLAG_PROBE = 0x02  # AGENT_TRANSFER only: code-presence probe, no instantiation
@@ -470,6 +471,17 @@ def encode_frame(frame: Frame) -> bytes:
     return header + frame.payload + _U32.pack(crc)
 
 
+def frame_length(header: bytes) -> int:
+    """Length of the whole frame that starts with this ``HEADER_LEN``-byte header, magic and
+    ``MAX_FRAME_BYTES`` checked, so no peer makes a reader buffer more."""
+    if header[:4] != MAGIC:
+        raise WireError(f"bad magic {header[:4]!r}")
+    end = FRAME_OVERHEAD + _U32.unpack_from(header, 8)[0]
+    if end > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {end} bytes exceeds the limit of {MAX_FRAME_BYTES}")
+    return end
+
+
 def decode_frame(data: bytes) -> Frame:
     if len(data) < FRAME_OVERHEAD:
         raise TruncatedError(f"frame needs at least {FRAME_OVERHEAD} bytes, got {len(data)}")
@@ -483,9 +495,9 @@ def decode_frame(data: bytes) -> Frame:
     if len(data) != FRAME_OVERHEAD + payload_len:
         raise TruncatedError(f"frame length {len(data)} != {FRAME_OVERHEAD + payload_len} "
                              "implied by header")
-    payload = data[12 : 12 + payload_len]
-    crc = _U32.unpack_from(data, 12 + payload_len)[0]
-    expected = zlib.crc32(data[: 12 + payload_len]) & 0xFFFFFFFF
+    payload = data[HEADER_LEN : HEADER_LEN + payload_len]
+    crc = _U32.unpack_from(data, HEADER_LEN + payload_len)[0]
+    expected = zlib.crc32(data[: HEADER_LEN + payload_len]) & 0xFFFFFFFF
     if crc != expected:
         raise WireError(f"crc mismatch: 0x{crc:08X} != 0x{expected:08X}")
     return Frame(kind=FrameKind(kind), payload=payload, flags=flags)

@@ -17,7 +17,7 @@ from agentway.distribution import (
     push_code,
     resolve_itinerary,
 )
-from agentway.transport import Endpoint, InProcNetwork, ModeledTransport, SocketTransport, TransportOpts
+from agentway.transport import Endpoint, InProcNetwork, Link, ModeledTransport, SocketTransport, TransportOpts
 from agentway.wire import Frame, FrameKind
 
 
@@ -111,6 +111,19 @@ class TestTopology:
         topo = Topology.from_dict(doc)
         assert topo.segment_of(Endpoint("10.0.2.1", 9000)) == "b"
         assert topo.link("a--b").model.bandwidth_bits_per_s == 64000
+
+    @pytest.mark.parametrize("link_id", ["b--a", "a--c", "a-b"])
+    def test_a_link_model_for_no_link_of_the_topology_is_refused(self, link_id):
+        doc = {
+            "segments": {"a": ["10.0.1.1:9000"], "b": ["10.0.2.1:9000"]},
+            "manager": "10.0.1.1:9000",
+            "links": {link_id: {"bandwidth_bps": 64000}},
+        }
+        with pytest.raises(DistributionError, match=repr(link_id)):
+            Topology.from_dict(doc)
+        with pytest.raises(DistributionError, match=repr(link_id)):
+            Topology(segments={"a": [ep(1, 1)], "b": [ep(2, 1)]}, manager=ep(1, 1),
+                     links={link_id: Link(link_id)})
 
     def test_link_between_endpoints_outside_the_topology_is_none(self):
         topo = three_segment_topology()

@@ -1,10 +1,11 @@
 """Static checks on the package source: no import is left unused, no broad
 exception handler swallows an error without a word, no module reads another's
-private names, no transport option goes unread, no module but ``wire`` builds
-an ``ERROR`` frame."""
+private names, nothing sleeps, no transport option or module constant goes
+unread, no module but ``wire`` builds an ``ERROR`` frame."""
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -153,12 +154,12 @@ def test_the_scan_finds_a_sleep():
     assert sleeping_functions("import time\ndef f(cond):\n    cond.wait(1)\n    time.monotonic()\n") == []
 
 
-def test_only_the_serve_loop_sleeps():
+def test_nothing_in_the_package_sleeps():
     """Code that waits for an outcome waits on the agency (``Agency.wait``), not
-    on a clock; ``agentway serve`` idles until it is interrupted."""
+    on a clock; ``agentway serve`` idles on an event until it is interrupted."""
     found = [f"{path.stem}.{where}" for path in MODULES
              for where in sleeping_functions(path.read_text(encoding="utf-8"))]
-    assert found == ["cli.cmd_serve"]
+    assert found == []
 
 
 def unread_options(names: list[str], sources: list[str]) -> list[str]:
@@ -186,6 +187,39 @@ def test_the_scan_finds_an_option_nobody_reads():
 def test_every_transport_option_is_read():
     names = [f.name for f in dataclasses.fields(TransportOpts)]
     assert unread_options(names, [path.read_text(encoding="utf-8") for path in MODULES]) == []
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """The upper-case names that a module of ``sources`` (module name to source)
+    binds at its top level and that no source reads, as a bare name or as an
+    attribute (``wire.MAGIC``); one ``module.NAME`` entry each."""
+    constant = re.compile(r"_?[A-Z][A-Z0-9_]*$")
+    bound, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            bound += [(module, t.id) for t in targets if isinstance(t, ast.Name) and constant.match(t.id)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{module}.{name}" for module, name in bound if name not in read]
+
+
+def test_the_scan_finds_a_constant_nobody_reads():
+    assert unread_constants({"m": "LIMIT = 1\nWIDTH: int = 2\nprint(WIDTH)\n"}) == ["m.LIMIT"]
+    assert unread_constants({"a": "_TABLE = {}\n", "b": "from . import a\na._TABLE.get(1)\n"}) == []
+    assert unread_constants({"a": "LIMIT = 1\n", "b": "from .a import LIMIT\nx = [LIMIT]\n"}) == []
+    assert unread_constants({"m": "LIMIT = 1\ndef f():\n    global LIMIT\n    LIMIT = 2\n"}) == ["m.LIMIT"]
+    assert unread_constants({"m": "limit = 1\nclass C:\n    LIMIT = 2\n"}) == []  # not module constants
+
+
+def test_every_module_constant_is_read():
+    """When the last code that reads a constant goes, the constant goes with it."""
+    assert unread_constants({path.stem: path.read_text(encoding="utf-8") for path in MODULES}) == []
 
 
 def error_frames_built(source: str) -> list[str]:

@@ -697,6 +697,54 @@ class TestTcpConnections:
             listener.close()
             transport.close()
 
+    def test_idle_connections_are_bounded_over_all_peers(self, monkeypatch):
+        """One put past ``MAX_IDLE`` idle connections closes the one idle longest."""
+        monkeypatch.setattr(transport_module, "MAX_IDLE", 2)
+        server, transport = SocketTransport(), SocketTransport()
+        listeners = [server.serve(Endpoint(LOOP, 0, "tcp"), ack_handler) for _ in range(4)]
+        try:
+            for port in (listener.endpoint_port for listener in listeners):
+                assert transport.send_frame(Endpoint(LOOP, port, "tcp"), Frame(FrameKind.ACK)).ok
+            assert [peer[1] for (peer, _), _, _ in transport._idle] == [
+                listener.endpoint_port for listener in listeners[2:]]
+            assert wait_until(lambda: [listener.open_connections for listener in listeners] == [0, 0, 1, 1])
+        finally:
+            for listener in listeners:
+                listener.close()
+            transport.close()
+
+    def test_concurrent_sends_keep_the_idle_bound_and_leave_no_connection_open(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "MAX_IDLE", 2)
+        interval = sys.getswitchinterval()
+        server, transport = SocketTransport(), SocketTransport()
+        listeners = [server.serve(Endpoint(LOOP, 0, "tcp"), ack_handler) for _ in range(3)]
+        eps = [Endpoint(LOOP, listener.endpoint_port, "tcp") for listener in listeners]
+        receipts = []
+
+        def send(n):
+            for i in range(30):
+                receipts.append(transport.send_frame(eps[(n + i) % 3], Frame(FrameKind.ACK)))
+
+        senders = [threading.Thread(target=send, args=(n,)) for n in range(4)]
+        try:
+            sys.setswitchinterval(1e-6)
+            for thread in senders:
+                thread.start()
+            for thread in senders:
+                thread.join(10)
+                assert not thread.is_alive()
+            sys.setswitchinterval(interval)
+            assert len(receipts) == 120 and all(receipt.ok for receipt in receipts)
+            assert len(transport._idle) <= 2
+            # a connection not kept idle was closed: the listeners serve only the kept ones
+            assert wait_until(lambda: sum(listener.open_connections for listener in listeners)
+                              == len(transport._idle))
+        finally:
+            sys.setswitchinterval(interval)
+            for listener in listeners:
+                listener.close()
+            transport.close()
+
     def test_close_during_a_send_closes_that_connection_after_it(self):
         transport = SocketTransport()
         entered, release = threading.Event(), threading.Event()
@@ -717,7 +765,7 @@ class TestTcpConnections:
             release.set()
             sender.join(5)
             assert receipts[0].ok
-            assert transport._idle == {}
+            assert transport._idle == []
             assert wait_until(lambda: listener.open_connections == 0)
         finally:
             release.set()
@@ -868,16 +916,23 @@ class TestHopWorkers:
         assert ran.wait(5)  # the task queued before close() still runs
         assert wait_until(lambda: set(threading.enumerate()) - before == set())
 
-    def test_a_defer_after_close_starts_a_fresh_pool(self):
-        before = set(threading.enumerate())
-        transport = SocketTransport()
-        for _ in range(2):
-            ran = threading.Event()
+    def test_after_close_a_defer_is_refused_and_a_send_keeps_nothing(self):
+        transport, listener, ep = serve_tcp()
+        before, ran = set(threading.enumerate()), threading.Event()
+        try:
             transport.defer(ran.set)
             assert ran.wait(5)
             assert len(set(threading.enumerate()) - before) == HOP_WORKERS
             transport.close()
             assert set(threading.enumerate()) - before == set()
+            with pytest.raises(TransportError, match="closed"):
+                transport.defer(ran.set)
+            assert set(threading.enumerate()) - before == set()  # no thread started for it
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+            assert transport._idle == []
+        finally:
+            listener.close()
+            transport.close()
 
     def test_close_from_a_worker_returns_without_joining_itself(self):
         before = set(threading.enumerate())
