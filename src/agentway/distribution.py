@@ -301,10 +301,19 @@ def push_code(
         if not fwd_receipt.ok:
             unreached(edge.target, f"refused: {fwd_receipt.error_message}")
             continue
-        for res in wire.decode_forward_results(fwd_receipt.reply.payload):
-            acks[(res.address, res.port)] = res.ok
-            if not res.ok:
-                errors[(res.address, res.port)] = f"code {res.error_code}"
+        try:
+            results = wire.decode_forward_results(fwd_receipt.reply.payload)
+        except wire.WireError as exc:
+            unreached(edge.target, f"returned unreadable results: {exc}")
+            continue
+        reported = {(res.address, res.port): res for res in results}  # a host not asked for is ignored
+        for e in relay_edges:
+            res = reported.get(e.target.key)
+            acks[e.target.key] = res is not None and res.ok
+            if res is None:
+                errors[e.target.key] = f"relay {edge.target} returned no result for it"
+            elif not res.ok:
+                errors[e.target.key] = f"code {res.error_code}"
 
     # the plan's view: one code frame on an edge's link for every target that acked it
     frame_bytes, code_bytes = len(push_frame.encoded()), len(push_frame.payload)

@@ -204,7 +204,8 @@ class _Transport:
             )
         reply_bytes, duration_s = self._exchange(endpoint, data, opts, link)
         self.stats.record(endpoint.key, link, frame, len(data))
-        reply = wire.decode_frame(reply_bytes)
+        # the plain ACK carries no payload, so its bytes say more than its CRC
+        reply = wire.ACK if reply_bytes == wire.ACK.encoded() else wire.decode_frame(reply_bytes)
         if reply.kind == FrameKind.ERROR:
             err = wire.ErrorPayload.decode(reply.payload)
             return Receipt(len(data), duration_s, reply, err.code, err.message)
@@ -562,18 +563,38 @@ class _TcpListener(_SocketListener):
                 thread.join()
 
 
+# Per address family, the socket option with which a UDP listener receives, with each
+# datagram, the address it arrived on (IP_PKTINFO is 8 on Linux; not every version of
+# the socket module names it).
+_PKTINFO = {
+    socket.AF_INET: (socket.IPPROTO_IP, getattr(socket, "IP_PKTINFO", 8)),
+    socket.AF_INET6: (socket.IPPROTO_IPV6, socket.IPV6_RECVPKTINFO),
+}
+
+
+def _reply_source(level: int, kind: int, info: bytes) -> tuple[int, int, bytes]:
+    """A datagram's packet info, to send the reply from the address it arrived on: a
+    listener bound to a wildcard address would otherwise answer from the address the
+    routing picks, and a connected sender drops that. The interface index is zeroed,
+    so the routing still picks the interface."""
+    if level == socket.IPPROTO_IP:  # in_pktinfo: interface, local address, header destination
+        return level, kind, bytes(4) + info[4:]
+    return level, kind, info[:16] + bytes(4)  # in6_pktinfo: address, interface
+
+
 class _UdpListener(_SocketListener):
     def _loop(self) -> None:
         with self._sock:
             while True:
-                try:
-                    data, addr = self._sock.recvfrom(65535)
+                try:  # with room for one in6_pktinfo, the larger of the two records
+                    data, info, _, addr = self._sock.recvmsg(65535, socket.CMSG_SPACE(20))
                 except OSError:
                     return
                 if self._closed.is_set():  # woken by close(): addr is None, nobody to answer
                     return
                 try:
-                    self._sock.sendto(_handle_raw(self._handler, data, addr), addr)
+                    reply = _handle_raw(self._handler, data, addr)
+                    self._sock.sendmsg([reply], [_reply_source(*item) for item in info], 0, addr)
                 except OSError:
                     pass
 
@@ -677,15 +698,16 @@ class SocketTransport(_Transport):
         family = socket.AF_INET6 if ":" in endpoint.address else socket.AF_INET
         with socket.socket(family, socket.SOCK_DGRAM) as sock:
             sock.settimeout(opts.ack_timeout_s)
-            for attempt in range(2):  # one retransmission, then error
-                try:
-                    sock.sendto(data, endpoint.key)
-                    reply, _ = sock.recvfrom(65535)
-                    return reply
-                except socket.timeout:
-                    continue
-                except OSError as exc:
-                    raise TransportError(f"udp send to {endpoint} failed: {exc}") from exc
+            try:
+                sock.connect(endpoint.key)  # the kernel then drops a datagram from any other source
+                for _ in range(2):  # one retransmission, then error
+                    try:
+                        sock.send(data)
+                        return sock.recv(65535)
+                    except socket.timeout:
+                        continue
+            except OSError as exc:  # a refusal (ICMP port unreachable) among them
+                raise TransportError(f"udp send to {endpoint} failed: {exc}") from exc
         raise TransportError(f"no ack from {endpoint} after retransmission")
 
     def serve(self, bind: Endpoint, handler: Handler):
@@ -694,7 +716,9 @@ class SocketTransport(_Transport):
         sock = None
         try:
             sock = socket.socket(family, socket.SOCK_DGRAM if udp else socket.SOCK_STREAM)
-            if not udp:
+            if udp:
+                sock.setsockopt(*_PKTINFO[family], 1)
+            else:
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             sock.bind(bind.key)
             if not udp:

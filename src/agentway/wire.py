@@ -530,17 +530,19 @@ class AgentTransferPayload:
     hop_index: int
     state: bytes
 
-    HEADER_LEN = AGENT_ID_LEN + DIGEST_LEN + 2
+    PREFIX = struct.Struct(f">{AGENT_ID_LEN}s{DIGEST_LEN}sH")
+    HEADER_LEN = PREFIX.size
 
     def encode(self) -> bytes:
         if len(self.agent_id) != AGENT_ID_LEN or len(self.digest) != DIGEST_LEN:
             raise WireError("agent_id must be 16 bytes, digest 32 bytes")
-        return self.agent_id + self.digest + struct.pack(">H", self.hop_index) + self.state
+        return self.PREFIX.pack(self.agent_id, self.digest, self.hop_index) + self.state
 
     @classmethod
     def decode(cls, data: bytes) -> "AgentTransferPayload":
-        (agent_id, digest, hop_index), pos = _each(data, 0, (_agent_id, _digest, _u16))
-        return cls(agent_id=agent_id, digest=digest, hop_index=hop_index, state=data[pos:])
+        if len(data) < cls.HEADER_LEN:
+            _each(data, 0, (_agent_id, _digest, _u16))  # raises its TruncatedError
+        return cls(*cls.PREFIX.unpack_from(data), data[cls.HEADER_LEN :])
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,13 @@ def live_cluster(topo: Topology, skip=()):
     return network, opts, agencies
 
 
+def fake_relay(network, relay, forward_reply):
+    """Take the code push at ``relay`` and answer its forward request with ``forward_reply``."""
+    def handler(frame, source):
+        return forward_reply if frame.kind == FrameKind.FORWARD_REQUEST else Frame(FrameKind.ACK)
+    network.register(relay.key, handler)
+
+
 class TestPush:
     def test_flat_push_installs_everywhere(self):
         topo = three_segment_topology()
@@ -360,6 +367,44 @@ class TestPush:
             for key in behind:
                 assert report.errors[key].startswith(f"relay {relay} {why}")
                 assert agencies[key].lookup_code("MAExample") is None
+        finally:
+            for a in agencies.values():
+                a.stop()
+
+    def test_a_relays_unreadable_results_fail_its_hosts_and_the_push_goes_on(self):
+        topo = three_segment_topology()
+        relay = topo.mdms["seg2"]  # the first relay in the plan: seg3's edges come after it
+        network, opts, agencies = live_cluster(topo, skip={relay.key})
+        fake_relay(network, relay, Frame(FrameKind.ACK, b"\x00\x01\x00"))
+        image = CodeImage.from_code("MAExample", b"\xf1" * 128)
+        try:
+            plan = plan_distribution(ALL_NINE, topo, "hierarchical")
+            report = push_code(plan, image, agencies[topo.manager.key].transport, opts, topo)
+            behind = [ep(2, 2).key, ep(2, 3).key]
+            assert sorted(k for k, ok in report.acks.items() if not ok) == behind
+            for key in behind:
+                assert report.errors[key] == (f"relay {relay} returned unreadable results: "
+                                              "need 2 bytes at offset 2, have 1")
+            for host in (ep(3, 2), ep(3, 3)):  # pushed after the relay that failed
+                assert agencies[host.key].lookup_code("MAExample") is not None
+        finally:
+            for a in agencies.values():
+                a.stop()
+
+    def test_a_relay_is_trusted_only_for_its_own_fan_out(self):
+        topo = three_segment_topology()
+        relay = topo.mdms["seg2"]
+        network, opts, agencies = live_cluster(topo, skip={relay.key})
+        results = [wire.ForwardResult("10.9.9.9", 1, True), wire.ForwardResult(ep(2, 3).address, 9000, True)]
+        fake_relay(network, relay, Frame(FrameKind.ACK, wire.encode_forward_results(results)))
+        image = CodeImage.from_code("MAExample", b"\xf2" * 128)
+        try:
+            plan = plan_distribution(ALL_NINE, topo, "hierarchical")
+            report = push_code(plan, image, agencies[topo.manager.key].transport, opts, topo)
+            assert not report.all_ok
+            assert set(report.acks) == {e.target.key for e in plan.edges}  # no 10.9.9.9
+            assert [k for k, ok in report.acks.items() if not ok] == [ep(2, 2).key]
+            assert report.errors == {ep(2, 2).key: f"relay {relay} returned no result for it"}
         finally:
             for a in agencies.values():
                 a.stop()

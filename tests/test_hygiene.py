@@ -1,7 +1,8 @@
 """Static checks on the package source: no import is left unused, no broad
 exception handler swallows an error without a word, no module reads another's
 private names, nothing sleeps, no transport option or module constant goes
-unread, no module but ``wire`` builds an ``ERROR`` frame."""
+unread, no module but ``wire`` builds an ``ERROR`` frame, no module imports by
+name a codec function that the benchmark's tracer wraps."""
 
 import ast
 import dataclasses
@@ -12,6 +13,7 @@ import pytest
 
 import agentway
 from agentway.transport import TransportOpts
+from test_tracing import load_tracing
 
 PACKAGE = Path(agentway.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -249,3 +251,39 @@ def test_only_wire_builds_an_error_frame():
     """Every refusal and failure report is a ``wire.nack``."""
     found = {path.name: error_frames_built(path.read_text(encoding="utf-8")) for path in MODULES}
     assert {name: len(lines) for name, lines in found.items() if lines} == {"wire.py": 1}
+
+
+def wrapped_names_imported(source: str, spans: list[str]) -> list[str]:
+    """The functions of ``spans`` (``"wire.decode_frame"``) that ``source`` imports
+    by name from their ``agentway`` module (``from .wire import decode_frame``),
+    one ``line N: module.name`` entry each. The tracer wraps the module
+    attribute, so a call through such a name goes uncounted."""
+    wrapped = {tuple(span.split(".", 1)) for span in spans}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+            node.level or node.module.startswith("agentway.")
+        ):
+            module = node.module.rsplit(".", 1)[-1]
+            found += [f"line {node.lineno}: {module}.{alias.name}"
+                      for alias in node.names if (module, alias.name) in wrapped]
+    return found
+
+
+def test_the_scan_finds_a_traced_function_imported_by_name():
+    spans = ["wire.decode_frame", "wire.encode_state"]
+    assert wrapped_names_imported("from .wire import Frame, decode_frame\n", spans) == [
+        "line 1: wire.decode_frame"
+    ]
+    assert wrapped_names_imported("import os\nfrom agentway.wire import encode_state as enc\n", spans) == [
+        "line 2: wire.encode_state"
+    ]
+    assert wrapped_names_imported("from . import wire\nwire.decode_frame(b'')\n", spans) == []
+    assert wrapped_names_imported("from .transport import decode_frame\n", spans) == []
+
+
+def test_no_module_imports_a_traced_function_by_name():
+    """``wire.decode_frame.calls`` and the other traced counts see every call."""
+    spans = load_tracing().WIRE_SPANS
+    found = {path.name: wrapped_names_imported(path.read_text(encoding="utf-8"), spans) for path in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -150,6 +151,39 @@ class TestModeledTransport:
         t = ModeledTransport(InProcNetwork())
         stats = t.link_stats(("10.9.9.9", 1))
         assert stats.bytes_sent == 0 and stats.frames_sent == 0
+
+
+def replying(raw: bytes):
+    """A modeled transport and the endpoint of a handler that answers every frame with ``raw``."""
+    t = ModeledTransport(InProcNetwork(), Endpoint("10.0.0.1", 1, "tcp"))
+    ep = Endpoint("10.0.0.2", 1, "tcp")
+    t.serve(ep, lambda frame, source: SimpleNamespace(encoded=lambda: raw))
+    return t, ep
+
+
+class TestReplies:
+    def test_a_plain_ack_is_known_by_its_bytes(self, monkeypatch):
+        decoded = []
+        decode = wire.decode_frame
+        monkeypatch.setattr(wire, "decode_frame", lambda data: decoded.append(data) or decode(data))
+        t, ep = replying(wire.encode_frame(Frame(FrameKind.ACK)))
+        sent = Frame(FrameKind.AGENT_TRANSFER, b"state")
+        receipt = t.send_frame(ep, sent)
+        assert receipt.ok and receipt.reply is wire.ACK
+        assert decoded == [sent.encoded()]  # the listener's decode of the frame; none of the reply
+
+    def test_an_ack_with_a_crc_byte_flipped_is_refused(self):
+        raw = bytearray(wire.ACK.encoded())
+        raw[-1] ^= 0x01
+        t, ep = replying(bytes(raw))
+        with pytest.raises(wire.WireError, match="crc mismatch"):
+            t.send_frame(ep, Frame(FrameKind.ACK))
+
+    def test_an_ack_that_carries_forward_results_is_decoded(self):
+        results = wire.encode_forward_results([wire.ForwardResult("10.0.1.2", 9000, True)])
+        t, ep = replying(wire.encode_frame(Frame(FrameKind.ACK, results)))
+        receipt = t.send_frame(ep, Frame(FrameKind.FORWARD_REQUEST, b""))
+        assert receipt.ok and receipt.reply == Frame(FrameKind.ACK, results)
 
 
 class TestTcpSockets:
@@ -344,6 +378,56 @@ class TestUdpSockets:
                 transport.send_frame(Endpoint(LOOP, port, "udp"), Frame(FrameKind.ACK), opts)
         finally:
             sock.close()
+
+    def test_a_reply_from_another_source_is_not_taken(self):
+        forger = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        forger.bind((LOOP, 0))
+
+        def handler(frame, source):
+            forger.sendto(wire.nack(wire.ERR_INTERNAL, "forged").encoded(), source)  # arrives first
+            return Frame(FrameKind.ACK)
+
+        transport = SocketTransport()
+        listener = transport.serve(Endpoint(LOOP, 0, "udp"), handler)
+        ep = Endpoint(LOOP, listener.endpoint_port, "udp")
+        try:
+            receipt = transport.send_frame(ep, Frame(FrameKind.ACK), TransportOpts(protocol="udp"))
+            assert receipt.ok, receipt.error_message
+        finally:
+            listener.close()
+            forger.close()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs all of 127/8 on loopback")
+    @pytest.mark.parametrize("bind, targets", [("0.0.0.0", ("127.0.0.1", "127.0.0.2")),
+                                               ("::", ("::1", "127.0.0.2"))])
+    def test_a_wildcard_listener_answers_from_the_address_sent_to(self, bind, targets):
+        # the routing answers 127.0.0.1 from 127.0.0.1, so a reply to a datagram sent to
+        # 127.0.0.2 leaves from the wrong address unless the listener picks its source
+        transport = SocketTransport()
+        try:
+            listener = transport.serve(Endpoint(bind, 0, "udp"), ack_handler)
+        except TransportError as exc:
+            pytest.skip(f"no {bind} here: {exc}")
+        if bind == "::" and listener._sock.getsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY):
+            targets = targets[:1]  # an IPv6-only socket hears no IPv4 datagram
+        opts = TransportOpts(protocol="udp", ack_timeout_s=1.0)
+        try:
+            for address in targets:
+                receipt = transport.send_frame(Endpoint(address, listener.endpoint_port, "udp"),
+                                               Frame(FrameKind.ACK), opts)
+                assert receipt.ok, address
+        finally:
+            listener.close()
+            transport.close()
+
+    def test_a_refused_datagram_fails_at_once(self):
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind((LOOP, 0))
+        port = sock.getsockname()[1]
+        sock.close()  # nobody bound: the kernel answers with ICMP port unreachable
+        opts = TransportOpts(protocol="udp", ack_timeout_s=5.0)
+        with pytest.raises(TransportError, match="udp send to .* failed"):
+            SocketTransport().send_frame(Endpoint(LOOP, port, "udp"), Frame(FrameKind.ACK), opts)
 
     def test_malformed_datagram_gets_error_and_listener_survives(self):
 

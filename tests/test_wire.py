@@ -403,6 +403,19 @@ class TestPayloadCodecs:
         p = wire.AgentTransferPayload(b"\x02" * 16, b"\x03" * 32, 7, b"stateimage")
         assert wire.AgentTransferPayload.decode(p.encode()) == p
 
+    def test_every_truncated_transfer_payload_names_the_field_cut_short(self):
+        data = wire.AgentTransferPayload(b"\x02" * 16, b"\x03" * 32, 7, b"stateimage").encode()
+        for n in range(wire.AgentTransferPayload.HEADER_LEN):
+            need, at = (16, 0) if n < 16 else (32, 16) if n < 48 else (2, 48)
+            with pytest.raises(wire.TruncatedError) as caught:
+                wire.AgentTransferPayload.decode(data[:n])
+            assert str(caught.value) == f"need {need} bytes at offset {at}, have {n - at}"
+
+    def test_a_transfer_payload_of_its_prefix_alone_has_empty_state(self):
+        p = wire.AgentTransferPayload(b"\x02" * 16, b"\x03" * 32, 0xFFFF, b"")
+        assert len(p.encode()) == wire.AgentTransferPayload.HEADER_LEN == 50
+        assert wire.AgentTransferPayload.decode(p.encode()) == p
+
     def test_error_roundtrip(self):
         p = wire.ErrorPayload(wire.ERR_CODE_MISSING, "no code", b"\x04" * 16)
         assert wire.ErrorPayload.decode(p.encode()) == p
