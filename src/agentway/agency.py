@@ -18,6 +18,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, ClassVar, Optional
 
 from . import wire
@@ -220,15 +221,19 @@ class HopRecord:
     send_bytes: int = 0
 
 
-def _bound(table: dict, weight: Optional[Callable[[object], int]] = None) -> None:
-    """Keep the newest ``HOP_LOG_RECORDS`` entries and, given ``weight``, drop the
-    oldest while the entries weigh over ``COMPLETIONS_STATE_BYTES``, keeping the
-    newest one. The table is trimmed in place; the caller holds the agency's lock."""
+def _bound(table: dict, tally: int = 0, weight: Callable[[object], int] = lambda entry: 0) -> int:
+    """Keep the newest ``HOP_LOG_RECORDS`` entries and drop the oldest while they
+    weigh over ``COMPLETIONS_STATE_BYTES``, keeping the newest one. ``tally`` is an
+    upper bound of what the entries weigh (entries popped by others leave it high), so
+    only a tally over the cap runs the exact pass, which weighs every entry. Returns
+    the bound after. The table is trimmed in place; the caller holds the agency's lock."""
     while len(table) > HOP_LOG_RECORDS:
-        del table[next(iter(table))]
-    total = sum(map(weight, table.values())) if weight else 0
-    while total > COMPLETIONS_STATE_BYTES and len(table) > 1:
-        total -= weight(table.pop(next(iter(table))))
+        tally -= weight(table.pop(next(iter(table))))
+    if tally > COMPLETIONS_STATE_BYTES:
+        tally = sum(map(weight, table.values()))
+        while tally > COMPLETIONS_STATE_BYTES and len(table) > 1:
+            tally -= weight(table.pop(next(iter(table))))
+    return tally
 
 
 _itineraries: dict[tuple[tuple[str, ...], str], tuple[Endpoint, ...]] = {}
@@ -298,9 +303,11 @@ class Agency:
         self.cache = CodeCache(cache_capacity, cache_byte_limit)
         self.topology = topology
         self.agency_id = os.urandom(8).hex()
+        self._context = HostContext(host_name, bind.address, self.agency_id)  # start() changes only the port
         self._behaviors: dict[str, Behavior] = {}
         self._lock = threading.Condition()
         self.completions: dict[bytes, dict] = {}
+        self._completions_tally = 0  # an upper bound of the completions' state_len, for _bound
         self.failures: dict[bytes, str] = {}
         self.hops: deque[HopRecord] = deque(maxlen=HOP_LOG_RECORDS)
         self._listener = None
@@ -324,7 +331,7 @@ class Agency:
         self._behaviors[kind_name] = behavior
 
     def context(self) -> HostContext:
-        return HostContext(self.host_name, self.bind.address, self.agency_id)
+        return self._context
 
     # -- code cache --------------------------------------------------------
 
@@ -520,7 +527,9 @@ class Agency:
                 _bound(self.failures)
             if completion is not None:
                 self.completions[agent_id] = completion
-                _bound(self.completions, lambda done: done["state_len"])
+                self._completions_tally = _bound(
+                    self.completions, self._completions_tally + completion["state_len"],
+                    itemgetter("state_len"))
             self._lock.notify_all()
 
     def dispatch(self, instance: AgentInstance, dest: Endpoint) -> tuple[Receipt, int]:

@@ -77,12 +77,12 @@ class SchemaMismatchError(WireError):
 
 # ---------------------------------------------------------------------------
 # readers and writers: a reader takes the data and an offset, and returns the
-# value it read with the offset just past it
+# value it read with the offset just past it. Each field type has one reader and
+# one writer, which read and write lengths inline; a cut names what it cuts short.
 
 _U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-_I32 = struct.Struct(">i")
 
 Read = Callable[[bytes, int], "tuple[Any, int]"]
 
@@ -93,31 +93,59 @@ def _take(data: bytes, pos: int, n: int) -> tuple[bytes, int]:
     return data[pos : pos + n], pos + n
 
 
-def _unpack(fmt: struct.Struct, data: bytes, pos: int) -> tuple[Any, int]:
-    """One fixed-width value, as ``partial(_unpack, fmt)`` reads it."""
-    if pos + fmt.size > len(data):
-        _take(data, pos, fmt.size)  # raises its TruncatedError
-    return fmt.unpack_from(data, pos)[0], pos + fmt.size
+def _fixed_reader(fmt: struct.Struct) -> Read:
+    """The reader of one value that ``fmt`` packs."""
+    size, unpack = fmt.size, fmt.unpack_from
+
+    def read(data: bytes, pos: int) -> tuple[Any, int]:
+        if pos + size > len(data):
+            _take(data, pos, size)  # raises its TruncatedError
+        return unpack(data, pos)[0], pos + size
+
+    return read
 
 
-_u8, _u16, _u32, _i32 = (partial(_unpack, fmt) for fmt in (_U8, _U16, _U32, _I32))
+_u8, _u16, _u32 = map(_fixed_reader, (_U8, _U16, _U32))
 
 
-def _text(data: bytes, pos: int, length: Read = _u16) -> tuple[str, int]:
-    """UTF-8 text after its byte length, which ``length`` reads."""
-    n, start = length(data, pos)
-    raw, end = _take(data, start, n)
+def _text(data: bytes, pos: int, length: struct.Struct = _U16) -> tuple[str, int]:
+    """UTF-8 text after its byte length, which ``length`` packs."""
+    start = pos + length.size
+    if start > len(data):
+        _take(data, pos, length.size)
+    end = start + length.unpack_from(data, pos)[0]
+    if end > len(data):
+        _take(data, start, end - start)
     try:
-        return raw.decode("utf-8"), end
+        return data[start:end].decode("utf-8"), end
     except UnicodeDecodeError as exc:
         raise WireError(f"invalid UTF-8 at offset {start}") from exc
 
 
+def _strings(data: bytes, pos: int) -> tuple[list, int]:
+    """A u16 count of strings, each UTF-8 after its u32 byte length."""
+    count, pos = _u16(data, pos)
+    values = []
+    for _ in range(count):
+        value, pos = _text(data, pos, _U32)
+        values.append(value)
+    return values, pos
+
+
 def _blob(data: bytes, pos: int) -> tuple[bytes, int]:
-    return _take(data, pos + 4, _u32(data, pos)[0])
+    if pos + 4 > len(data):
+        _take(data, pos, 4)
+    return _take(data, pos + 4, _U32.unpack_from(data, pos)[0])
 
 
-_string = partial(_text, length=_u32)
+def _int32s(data: bytes, pos: int) -> tuple[list, int]:
+    count, start = _u16(data, pos)
+    end = start + 4 * count
+    if end > len(data):  # names the first int32 cut short
+        _take(data, start + (len(data) - start) // 4 * 4, 4)
+    return list(struct.unpack_from(f">{count}i", data, start)), end
+
+
 _digest, _agent_id = partial(_take, n=DIGEST_LEN), partial(_take, n=AGENT_ID_LEN)
 
 
@@ -143,17 +171,6 @@ def _array(item: Read) -> Read:
     return lambda data, pos: _each(data, pos + 2, repeat(item, _u16(data, pos)[0]))
 
 
-def _array_bytes(item: Callable[[Any], bytes]) -> Callable[[list], bytes]:
-    """The encoder of a u16 count and that many items."""
-
-    def encode(values: list) -> bytes:
-        if len(values) > 0xFFFF:
-            raise WireError(f"array too long for u16 count: {len(values)} items")
-        return _U16.pack(len(values)) + b"".join([item(v) for v in values])
-
-    return encode
-
-
 def _u16_str(s: str) -> bytes:
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
@@ -167,24 +184,37 @@ def _u32_prefixed(raw: bytes) -> bytes:
     return _U32.pack(len(raw)) + raw
 
 
+def _count(values: list) -> bytes:
+    """The u16 count before an array's items."""
+    if len(values) > 0xFFFF:
+        raise WireError(f"array too long for u16 count: {len(values)} items")
+    return _U16.pack(len(values))
+
+
 # ---------------------------------------------------------------------------
 # field types
 
 
 @dataclass(frozen=True)
 class FieldType:
-    """A type tag's name in schema files, zero value, encoder, reader and struct code if fixed."""
+    """A type tag's name in schema files, zero value, reader, and writer: given a
+    field's prefix, a function of the value that returns the prefix and its bytes."""
 
     name: str
     zero: Any
-    encode: Callable[[Any], bytes]
     decode: Read
-    fixed: str = ""
+    writer: Callable[[bytes], Callable[[Any], bytes]]
 
 
 def _fixed(name: str, zero: Any, code: str) -> FieldType:
-    fmt = struct.Struct(">" + code)
-    return FieldType(name, zero, fmt.pack, partial(_unpack, fmt), code)
+    """A fixed-width type; one struct writes a field's prefix and value."""
+    return FieldType(name, zero, _fixed_reader(struct.Struct(">" + code)),
+                     lambda prefix: partial(struct.Struct(f">{len(prefix)}s{code}").pack, prefix))
+
+
+def _variable(name: str, zero: Any, decode: Read, encode: Callable[[bytes, Any], bytes]) -> FieldType:
+    """A type of varying width; ``encode`` takes a field's prefix and a value."""
+    return FieldType(name, zero, decode, lambda prefix: partial(encode, prefix))
 
 
 FIELD_TYPES: dict[TypeTag, FieldType] = {
@@ -192,12 +222,13 @@ FIELD_TYPES: dict[TypeTag, FieldType] = {
     TypeTag.INT32: _fixed("int32", 0, "i"),
     TypeTag.INT64: _fixed("int64", 0, "q"),
     TypeTag.FLOAT64: _fixed("float64", 0.0, "d"),
-    TypeTag.STRING: FieldType("string", "", lambda v: _u32_prefixed(v.encode("utf-8")), _string),
-    TypeTag.STRING_ARRAY: FieldType(
-        "string[]", [], _array_bytes(lambda v: _u32_prefixed(v.encode("utf-8"))), _array(_string)
-    ),
-    TypeTag.BYTES: FieldType("bytes", b"", lambda v: _u32_prefixed(bytes(v)), _blob),
-    TypeTag.INT32_ARRAY: FieldType("int32[]", [], _array_bytes(_I32.pack), _array(_i32)),
+    TypeTag.STRING: _variable("string", "", lambda data, pos: _text(data, pos, _U32),
+                              lambda prefix, v: prefix + _u32_prefixed(v.encode("utf-8"))),
+    TypeTag.STRING_ARRAY: _variable("string[]", [], _strings, lambda prefix, vs: b"".join(
+        [prefix, _count(vs), *[_u32_prefixed(v.encode("utf-8")) for v in vs]])),
+    TypeTag.BYTES: _variable("bytes", b"", _blob, lambda prefix, v: prefix + _u32_prefixed(bytes(v))),
+    TypeTag.INT32_ARRAY: _variable("int32[]", [], _int32s, lambda prefix, vs: b"".join(
+        [prefix, _count(vs), struct.pack(f">{len(vs)}i", *vs)])),
 }
 TAG_BY_NAME = {t.name: tag for tag, t in FIELD_TYPES.items()}
 
@@ -313,8 +344,10 @@ class _Codec:
         self.tail = _U32.pack(self.hash) + _U16.pack(len(persistent))
         pairs = [(f, _prefix(f)) for f in persistent]
         self.readers = [(prefix, f.name, FIELD_TYPES[f.tag].decode) for f, prefix in pairs]
-        self.writers = [(f.name, _writer(f, prefix)) for f, prefix in pairs]
-        self.defaults = [(f.name, f.default) for f in fields if f.transient]
+        self.writers = [(f.name, FIELD_TYPES[f.tag].writer(prefix)) for f, prefix in pairs]
+        transients = [f for f in fields if f.transient]
+        self.defaults = {f.name: f.default for f in transients if not isinstance(f.default, list)}
+        self.lists = [(f.name, f.default) for f in transients if isinstance(f.default, list)]
         self.head: Optional[tuple[str, str, bytes]] = None
 
     def header(self, kind: str, namespace: str) -> bytes:
@@ -322,14 +355,6 @@ class _Codec:
         if head is None or head[0] != kind or head[1] != namespace:
             head = self.head = (kind, namespace, _u16_str(kind) + _u16_str(namespace) + self.tail)
         return head[2]
-
-
-def _writer(f: FieldDescriptor, prefix: bytes) -> Callable[[Any], bytes]:
-    """Encodes a value of field ``f`` with its prefix; a fixed-width one with one struct."""
-    ftype = FIELD_TYPES[f.tag]
-    if ftype.fixed:
-        return partial(struct.Struct(f">{len(prefix)}s{ftype.fixed}").pack, prefix)
-    return lambda value: prefix + ftype.encode(value)
 
 
 def _compiled(fields: list[FieldDescriptor]) -> _Codec:
@@ -373,7 +398,7 @@ def decode_state(data: bytes, schema: list[FieldDescriptor]) -> StateRecord:
     values: dict[str, Any] = {}
     for prefix, name, read in codec.readers:
         if not data.startswith(prefix, pos):  # the name or the tag differs
-            wire_name, pos = _text(data, pos, _u8)
+            wire_name, pos = _text(data, pos, _U8)
             tag = _u8(data, pos)[0]
             if tag not in FIELD_TYPES:
                 raise WireError(f"unknown type tag 0x{tag:02X}")
@@ -381,8 +406,9 @@ def decode_state(data: bytes, schema: list[FieldDescriptor]) -> StateRecord:
         values[name], pos = read(data, pos + len(prefix))
     if pos != len(data):
         raise WireError(f"{len(data) - pos} trailing bytes after state image")
-    for name, default in codec.defaults:
-        values[name] = _own(default)
+    values.update(codec.defaults)
+    for name, default in codec.lists:
+        values[name] = list(default)
     record = StateRecord.__new__(StateRecord)  # the codec made __post_init__'s checks
     vars(record).update(kind_name=kind, namespace=namespace, fields=list(schema), values=values)
     return record

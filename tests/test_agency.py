@@ -313,6 +313,23 @@ class TestAdmission:
 
 
 class TestHops:
+    def test_every_hop_at_an_agency_sees_its_one_host_context(self):
+        cluster, record, img = make_cluster()
+        seen = []
+        for agency in cluster.agencies.values():
+            agency.register_behavior("MAExample", Behavior(
+                "spy", list(record.fields), lambda state, ctx: seen.append(ctx), lambda state, ctx: None))
+        try:
+            for _ in range(2):
+                cluster.agency(0).launch(record.copy(), [cluster.endpoints[1], cluster.endpoints[0]])
+                cluster.network.run()
+        finally:
+            cluster.stop()
+        origin, remote = cluster.agency(0), cluster.agency(1)
+        assert [ctx.host_name for ctx in seen] == ["h1", "h0", "h1", "h0"]
+        assert seen[0] is seen[2] is remote.context() and seen[1] is seen[3] is origin.context()
+        assert (seen[0].address, seen[0].agency_id) == (remote.bind.address, remote.agency_id)
+
     def test_dispatch_to_next_then_complete_at_origin(self):
         cluster, record, img = make_cluster(behavior="collector")
         try:
@@ -658,6 +675,36 @@ class TestHops:
             cluster.stop()
         assert held < cap + 1024 * 1024
         assert list(cluster.agency(1).completions)[-1] == unsolicited[-1]  # the newest stays
+
+    @pytest.mark.parametrize("caller_pops", [False, True])
+    def test_a_completion_weighs_the_kept_ones_only_when_their_tally_passes_the_cap(
+            self, monkeypatch, caller_pops):
+        class Weighed(dict):
+            passes = 0
+
+            def values(self):
+                self.passes += 1
+                return super().values()
+
+        cluster, record, img = make_cluster()
+        target, source = cluster.endpoints[1], cluster.endpoints[0]
+        record.set("it", [str(target)])  # one stop, which is also the origin: the final hop
+        state_len = len(wire.encode_state(record))
+        if caller_pops:  # the tally, never told of a pop, passes the cap every 500 completions
+            monkeypatch.setattr(agency_module, "COMPLETIONS_STATE_BYTES", 500 * state_len)
+        completions = cluster.agency(1).completions = Weighed()
+        try:
+            for i in range(2000):
+                agent_id = i.to_bytes(16, "big")
+                data = wire.encode_frame(transfer_frame(record, img, agent_id=agent_id))
+                assert wire.decode_frame(cluster.network.deliver(target.key, data, source.key)).kind == FrameKind.ACK
+                cluster.network.run()
+                if caller_pops:
+                    assert completions.pop(agent_id)["state_len"] == state_len
+        finally:
+            cluster.stop()
+        assert completions.passes <= 4
+        assert len(completions) == (0 if caller_pops else agency_module.HOP_LOG_RECORDS)
 
     def test_a_malformed_failure_report_is_refused_and_leaves_nothing(self):
         cluster, record, img = make_cluster()

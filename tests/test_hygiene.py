@@ -2,7 +2,8 @@
 exception handler swallows an error without a word, no module reads another's
 private names, nothing sleeps, no transport option or module constant goes
 unread, no module but ``wire`` builds an ``ERROR`` frame, no module imports by
-name a codec function that the benchmark's tracer wraps."""
+name a codec function that the benchmark's tracer wraps, no private helper goes
+unused."""
 
 import ast
 import dataclasses
@@ -287,3 +288,41 @@ def test_no_module_imports_a_traced_function_by_name():
     spans = load_tracing().WIRE_SPANS
     found = {path.name: wrapped_names_imported(path.read_text(encoding="utf-8"), spans) for path in MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:
+    """The ``_``-prefixed names that a module of ``sources`` (module name to source)
+    binds at its top level, by ``def``, ``class`` or assignment, and that no source
+    reads, as a bare name or as an attribute; one ``module.name`` entry each."""
+    bound, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = node.targets if isinstance(node, ast.Assign) else (
+                    [node.target] if isinstance(node, ast.AnnAssign) else [])
+                names = [n.id for t in targets for n in (t.elts if isinstance(t, ast.Tuple) else [t])
+                         if isinstance(n, ast.Name)]
+            bound += [(module, name) for name in names if _private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{module}.{name}" for module, name in bound if name not in read]
+
+
+def test_the_scan_finds_a_private_helper_nobody_uses():
+    assert unreferenced_private_helpers({"m": "def _a():\n    pass\ndef _b():\n    pass\n_b()\n"}) == ["m._a"]
+    assert unreferenced_private_helpers({"m": "class _C:\n    pass\nclass D:\n    pass\n"}) == ["m._C"]
+    assert unreferenced_private_helpers({"m": "_s = partial(f, n=1)\n_u8, _u16 = g(), g()\nx = [_u16]\n"}) == [
+        "m._s", "m._u8"]
+    assert unreferenced_private_helpers({"a": "def _f():\n    pass\n", "b": "from . import a\na._f()\n"}) == []
+    assert unreferenced_private_helpers({"m": "class C:\n    def _g(self):\n        pass\n"}) == []  # not top level
+
+
+def test_every_private_helper_is_used():
+    """When the last code that calls a helper goes, the helper goes with it."""
+    assert unreferenced_private_helpers({path.stem: path.read_text(encoding="utf-8") for path in MODULES}) == []

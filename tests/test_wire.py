@@ -188,6 +188,48 @@ class TestGoldenBytes:
             wire.decode_state(bytes.fromhex(GOLDEN_HEX) + b"\x00", GOLDEN_FIELDS)
 
 
+class TestStateRobustness:
+    """Whatever the bytes, decoding gives a record or a ``WireError``; a cut names what it cut."""
+
+    def test_every_truncation_and_seeded_mutation_decodes_or_raises_a_wire_error(self):
+        data = bytes.fromhex(GOLDEN_HEX)
+        rng = random.Random(1818)
+        inputs = [data[:n] for n in range(len(data))]
+        for _ in range(20000):  # one to three bytes replaced, a fifth of them then cut short
+            mutant = bytearray(data)
+            for _ in range(rng.randint(1, 3)):
+                mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+            inputs.append(bytes(mutant[: rng.randrange(len(mutant))] if rng.random() < 0.2 else mutant))
+        decoded = 0
+        for mutant in inputs:  # struct.error, IndexError, UnicodeDecodeError or OverflowError fails here
+            try:
+                wire.decode_state(mutant, GOLDEN_FIELDS)
+                decoded += 1
+            except WireError:
+                pass
+        assert 0 < decoded < len(inputs)
+
+    def test_a_cut_length_or_body_names_its_offset(self):
+        data = bytes.fromhex(GOLDEN_HEX)
+        at = data.index(b"\x01s\x05") + 3  # field s: a u32 byte length, then 14 bytes of UTF-8
+        ints = data.index(b"\x04ints\x08") + 6  # field ints: a u16 count, then two int32s
+        cases = [(data[: at + 2], f"need 4 bytes at offset {at}, have 2"),
+                 (data[: at + 10], f"need 14 bytes at offset {at + 4}, have 6"),
+                 (data[: ints + 8], f"need 4 bytes at offset {ints + 6}, have 2")]
+        for cut, message in cases:
+            with pytest.raises(wire.TruncatedError) as caught:
+                wire.decode_state(cut, GOLDEN_FIELDS)
+            assert str(caught.value) == message
+
+    def test_invalid_utf8_in_a_string_array_item_names_the_items_first_byte(self):
+        data = bytes.fromhex(GOLDEN_HEX)
+        assert data.count("ä".encode()) == 1  # the second item of "it"
+        at = data.index("ä".encode())
+        with pytest.raises(WireError) as caught:
+            wire.decode_state(data[:at] + b"\xff\xfe" + data[at + 2 :], GOLDEN_FIELDS)
+        assert str(caught.value) == f"invalid UTF-8 at offset {at}"
+
+
 class TestCodecTable:
     def test_holds_at_most_its_entries(self):
         for i in range(1000):
