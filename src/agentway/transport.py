@@ -10,6 +10,7 @@ from __future__ import annotations
 import ipaddress
 import logging
 import queue
+import select
 import socket
 import sys
 import threading
@@ -335,28 +336,37 @@ HOP_WORKERS = 2  # threads kept to run a SocketTransport's deferred tasks (admit
 MAX_HOP_THREADS = 32  # threads that may run them at once; those beyond HOP_WORKERS end when idle
 MAX_QUEUED_HOPS = 64  # deferred tasks that may wait while MAX_HOP_THREADS run; one more is refused
 CLOSE_WAIT_S = 5.0  # close() waits this long for those threads; one still busy ends on its own
+RECV_CHUNK = 64 * 1024  # most that one receive into a connection's read buffer asks for
 
 
-def _read_exactly(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
+def _fill(sock: socket.socket, buffer: bytearray, n: int, exact: bool) -> None:
+    while len(buffer) < n:
+        chunk = sock.recv(n - len(buffer) if exact else RECV_CHUNK)
         if not chunk:
-            raise TransportError(f"connection closed after {len(buf)}/{n} bytes")
-        buf += chunk
-    return bytes(buf)
+            raise TransportError(f"connection closed after {len(buffer)}/{n} bytes")
+        buffer += chunk
 
 
-def read_frame_bytes(sock: socket.socket) -> bytes:
-    """Read one complete frame off a TCP stream, validating the header first."""
-    header = _read_exactly(sock, wire.HEADER_LEN)
-    return header + _read_exactly(sock, wire.frame_length(header) - wire.HEADER_LEN)
+def read_frame_bytes(sock: socket.socket, buffer: Optional[bytearray] = None) -> bytes:
+    """Read one complete frame off a TCP stream, validating the header first.
+
+    With ``buffer``, a ``bytearray`` kept per connection, each receive asks for up to
+    ``RECV_CHUNK`` bytes, so a frame that has arrived is read in one, and bytes past the
+    frame stay in ``buffer`` for the next call. Without one, exactly the frame is read."""
+    exact = buffer is None
+    buffer = bytearray() if exact else buffer
+    _fill(sock, buffer, wire.HEADER_LEN, exact)
+    end = wire.frame_length(buffer)
+    _fill(sock, buffer, end, exact)
+    frame = bytes(buffer[:end])
+    del buffer[:end]
+    return frame
 
 
 def _send_whole(sock: socket.socket, data: bytes) -> None:
     """Hand the kernel all of the frame it will take at each call: a frame cut
     into writes waits on the peer's delayed ACK. The socket's timeout bounds
-    each call, not the whole frame, as in ``_read_exactly``."""
+    each call, not the whole frame, as in ``read_frame_bytes``."""
     view = memoryview(data)
     while view:
         view = view[sock.send(view):]
@@ -364,15 +374,11 @@ def _send_whole(sock: socket.socket, data: bytes) -> None:
 
 def _still_open(sock: socket.socket) -> bool:
     """An idle connection is fit to carry a frame only while nothing can be read
-    from it: a peer that closed it makes it readable (end of stream)."""
-    sock.settimeout(0)
-    try:
-        sock.recv(1, socket.MSG_PEEK)
-    except BlockingIOError:
-        return True
-    except OSError:
-        return False
-    return False  # end of stream, or bytes nobody asked for
+    from it: a peer that closed it makes it readable (end of stream). One zero-timeout
+    poll tells, which leaves the socket's timeout alone."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return not poller.poll(0)  # readable, or an error or hang-up, which poll always reports
 
 
 class _HopThreads:
@@ -531,9 +537,10 @@ class _TcpListener(_SocketListener):
     def _serve(self, sock: socket.socket, addr: tuple) -> None:
         try:
             sock.settimeout(CONN_TIMEOUT_S)
+            buffer = bytearray()  # pipelined frames read ahead wait here, answered in order
             while not self._closed.is_set():  # queued bytes stay readable after SHUT_RD
                 try:
-                    data = read_frame_bytes(sock)
+                    data = read_frame_bytes(sock, buffer)
                 except wire.WireError as exc:  # the stream cannot be resynchronised: answer, then close
                     _send_whole(sock, wire.nack(wire.ERR_BAD_FRAME, str(exc)).encoded())
                     return
@@ -603,12 +610,15 @@ class SocketTransport(_Transport):
     """Frames over real sockets, one ACK/ERROR back for each.
 
     TCP connections are reused: a connection carries one frame at a time, its
-    reply read before the connection joins the transport's one idle list, which
-    holds at most ``MAX_IDLE`` over all peers; one put past that closes the
-    connection idle longest. A send takes the newest idle connection to its
-    (peer, ``no_delay``), and only if the peer has not closed it meanwhile and
-    it has been idle for less than half of ``CONN_TIMEOUT_S``, so it is never
-    written just as the peer's listener closes it for silence. A frame is never
+    reply read (in one receive once it has arrived) before the connection joins
+    the transport's one idle list, which holds at most ``MAX_IDLE`` over all
+    peers; one put past that closes the connection idle longest, and one with
+    bytes past its reply is closed, not put. A send takes the newest idle
+    connection to its (peer, ``no_delay``), and only if the peer has not closed
+    it meanwhile (``_still_open``, which leaves its timeout alone) and it has
+    been idle for less than half of ``CONN_TIMEOUT_S``, so it is never written
+    just as the peer's listener closes it for silence. Its timeout is set only
+    when the send's ``connect_timeout_s`` differs. A frame is never
     written twice: a failure after the write is a ``TransportError``, so a hop
     runs at most once. UDP sends one datagram per frame, with one retransmission.
     ``serve`` answers each TCP connection on a thread of its own (``_TcpListener``)
@@ -681,17 +691,22 @@ class SocketTransport(_Transport):
     def _send_tcp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
         key = (endpoint.key, opts.no_delay)
         sock = self._take_idle(key) or self._connect(endpoint, opts)
+        buffer = bytearray()
         try:
-            sock.settimeout(opts.connect_timeout_s)
+            if sock.gettimeout() != opts.connect_timeout_s:  # a pooled one may have another
+                sock.settimeout(opts.connect_timeout_s)
             _send_whole(sock, data)
-            reply = read_frame_bytes(sock)
+            reply = read_frame_bytes(sock, buffer)
         except OSError as exc:
             sock.close()
             raise TransportError(f"tcp send to {endpoint} failed: {exc}") from exc
         except BaseException:  # a reply cut short or malformed leaves the stream out of step
             sock.close()
             raise
-        self._put_idle(key, sock)
+        if buffer:  # bytes past the reply: the stream is out of step
+            sock.close()
+        else:
+            self._put_idle(key, sock)
         return reply
 
     def _send_udp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:

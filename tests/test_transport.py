@@ -857,6 +857,117 @@ class TestTcpConnections:
             listener.close()
 
 
+class _ArrivedBytes:
+    """Stands in for a connected socket whose peer's bytes have all arrived; counts receives."""
+
+    def __init__(self, data):
+        self.data, self.recvs = bytearray(data), 0
+
+    def recv(self, n):
+        self.recvs += 1
+        chunk = bytes(self.data[:n])
+        del self.data[:n]
+        return chunk
+
+
+class TestSystemCallBudget:
+    """A pooled exchange: the sender polls once for liveness, sends once and receives
+    once; the listener receives once and sends once (each call on a socket with a
+    timeout is a poll plus the call)."""
+
+    def test_an_arrived_frame_is_read_in_one_receive_and_the_next_from_the_buffer(self):
+        ack = wire.ACK.encoded()
+        transfer = Frame(FrameKind.AGENT_TRANSFER, b"x" * 120).encoded()
+        assert len(transfer) == 136
+        buffer = bytearray()
+        sock = _ArrivedBytes(ack)
+        assert read_frame_bytes(sock, buffer) == ack and sock.recvs == 1
+        sock = _ArrivedBytes(transfer + ack)
+        assert read_frame_bytes(sock, buffer) == transfer and sock.recvs == 1
+        assert read_frame_bytes(sock, buffer) == ack and sock.recvs == 1  # already in the buffer
+        assert buffer == b"" and sock.data == b""
+        sock = _ArrivedBytes(ack + transfer)  # without a buffer, exactly the frame is read
+        assert read_frame_bytes(sock) == ack and sock.data == transfer
+
+    def test_a_pooled_send_sends_once_receives_once_and_sets_no_timeout(self, monkeypatch):
+        transport, listener, ep = serve_tcp()
+        try:
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+            [(_, pooled, _)] = transport._idle
+            calls = []
+            for name in ("recv", "send", "settimeout"):
+                def counted(sock, *args, _name=name, _method=getattr(socket.socket, name)):
+                    if sock is pooled:
+                        calls.append(_name)
+                    return _method(sock, *args)
+
+                monkeypatch.setattr(socket.socket, name, counted)
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+            assert calls == ["send", "recv"]
+            # other opts on the same connection set its timeout once
+            assert transport.send_frame(ep, Frame(FrameKind.ACK), TransportOpts(connect_timeout_s=2.0)).ok
+            assert calls[2:] == ["settimeout", "send", "recv"]
+            assert listener.open_connections == 1
+        finally:
+            listener.close()
+            transport.close()
+
+    def test_bytes_past_a_reply_close_the_connection(self):
+        server = socket.create_server((LOOP, 0))
+        server.settimeout(5)
+        accepted = []
+
+        def answer_with_junk():
+            for _ in range(2):
+                conn, _ = server.accept()
+                accepted.append(conn)
+                conn.settimeout(5)
+                read_frame_bytes(conn)
+                conn.sendall(wire.ACK.encoded() + b"junk")  # one write: the reply and its junk arrive together
+
+        thread = threading.Thread(target=answer_with_junk, daemon=True)
+        transport = SocketTransport()
+        ep = Endpoint(LOOP, server.getsockname()[1], "tcp")
+        try:
+            thread.start()
+            receipt = transport.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"state"))
+            assert receipt.ok and receipt.reply is wire.ACK
+            assert transport._idle == []
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+            thread.join(5)
+            assert len(accepted) == 2  # the second send opened a new connection
+        finally:
+            transport.close()
+            server.close()
+            thread.join(5)
+            for conn in accepted:
+                conn.close()
+
+
+class TestStillOpen:
+    def connected(self):
+        with socket.create_server((LOOP, 0)) as server:
+            client = socket.create_connection(server.getsockname(), timeout=5)
+            return client, server.accept()[0]
+
+    def test_an_idle_open_connection_is_open_and_keeps_its_timeout(self):
+        client, peer = self.connected()
+        with client, peer:
+            assert transport_module._still_open(client)
+            assert client.gettimeout() == 5
+
+    @pytest.mark.parametrize("peer_does", ["close", "write"])
+    def test_a_connection_the_peer_closed_or_wrote_to_is_not_open(self, peer_does):
+        client, peer = self.connected()
+        with client, peer:
+            if peer_does == "close":
+                peer.close()
+            else:
+                peer.sendall(b"x")
+            assert wait_until(lambda: not transport_module._still_open(client))
+            assert client.gettimeout() == 5
+
+
 class TestHopWorkers:
     """``SocketTransport.defer`` runs tasks on ``HOP_WORKERS`` kept threads, one more per
     task that finds every thread busy up to ``MAX_HOP_THREADS``, then a bounded queue."""
