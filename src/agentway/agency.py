@@ -283,7 +283,7 @@ class Agency:
     frame reported, and ``completions`` to what it brought home; each keeps
     the newest ``HOP_LOG_RECORDS``, and ``completions`` drops its oldest while
     their admitted states came to over ``COMPLETIONS_STATE_BYTES``. All three
-    change under ``wait``'s condition.
+    change under ``wait``'s lock.
     """
 
     def __init__(
@@ -305,7 +305,9 @@ class Agency:
         self.agency_id = os.urandom(8).hex()
         self._context = HostContext(host_name, bind.address, self.agency_id)  # start() changes only the port
         self._behaviors: dict[str, Behavior] = {}
-        self._lock = threading.Condition()
+        self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
+        self._waiting = 0  # waits blocked on _changed: only they need a notify
         self.completions: dict[bytes, dict] = {}
         self._completions_tally = 0  # an upper bound of the completions' state_len, for _bound
         self.failures: dict[bytes, str] = {}
@@ -518,7 +520,7 @@ class Agency:
     def _record(self, agent_id: bytes, hop: Optional[HopRecord] = None,
                 failure: Optional[str] = None, completion: Optional[dict] = None) -> None:
         """Under the lock, log ``hop``, keep the agent's first failure and its
-        completion, each table within its bound, and wake every ``wait``."""
+        completion, each table within its bound, and wake every blocked ``wait``."""
         with self._lock:
             if hop is not None:
                 self.hops.append(hop)
@@ -530,7 +532,8 @@ class Agency:
                 self._completions_tally = _bound(
                     self.completions, self._completions_tally + completion["state_len"],
                     itemgetter("state_len"))
-            self._lock.notify_all()
+            if self._waiting:
+                self._changed.notify_all()
 
     def dispatch(self, instance: AgentInstance, dest: Endpoint) -> tuple[Receipt, int]:
         """Re-encode the agent's state and send it to the next itinerary stop."""
@@ -578,7 +581,11 @@ class Agency:
                          if hop.agent_id == agent_id and hop.hop_index == hop_index), None)
 
         with self._lock:
-            found = self._lock.wait_for(lambda: agent_id in self.failures or logged(), timeout)
+            self._waiting += 1
+            try:
+                found = self._changed.wait_for(lambda: agent_id in self.failures or logged(), timeout)
+            finally:
+                self._waiting -= 1
             if agent_id in self.failures:
                 raise AgencyError(self.failures[agent_id])
         if not found:

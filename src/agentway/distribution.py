@@ -64,7 +64,8 @@ class Topology:
         if stray := sorted(set(self.links) - set(ids)):
             raise DistributionError(f"no link {stray[0]!r} in the topology")
         for link_id in ids:
-            self.links.setdefault(link_id, Link(link_id))
+            if link_id not in self.links:
+                self.links[link_id] = Link(link_id)
 
     def segment_of(self, endpoint: Endpoint) -> str:
         seg = self._segment_of.get(endpoint.key)

@@ -46,6 +46,7 @@ class Endpoint:
     address: str
     port: int
     protocol: str = "tcp"
+    key: tuple[str, int] = field(init=False, repr=False, compare=False)  # (address, port), made once
 
     def __post_init__(self) -> None:
         # addresses are literals; name resolution happens once, upstream
@@ -57,10 +58,7 @@ class Endpoint:
             raise ValueError(f"port out of range: {self.port}")
         if self.protocol not in ("tcp", "udp"):
             raise ValueError(f"protocol must be 'tcp' or 'udp': {self.protocol!r}")
-
-    @property
-    def key(self) -> tuple[str, int]:
-        return (self.address, self.port)
+        object.__setattr__(self, "key", (self.address, self.port))
 
     def __str__(self) -> str:
         return f"{self.address}:{self.port}"
@@ -135,7 +133,10 @@ class StatsRegistry:
     def record(self, peer: tuple[str, int], link: Optional[Link], frame: Frame, frame_bytes: int) -> None:
         """The one place a sent frame is counted: per peer, and on its link if it has one."""
         with self._lock:
-            self._by_peer.setdefault(peer, LinkStats()).record(frame.kind, frame_bytes, len(frame.payload))
+            stats = self._by_peer.get(peer)
+            if stats is None:
+                stats = self._by_peer[peer] = LinkStats()
+            stats.record(frame.kind, frame_bytes, len(frame.payload))
             if link is not None:
                 link.stats.record(frame.kind, frame_bytes, len(frame.payload))
 

@@ -463,12 +463,16 @@ def decompress_payload(data: bytes) -> bytes:
 # frame envelope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Frame:
     kind: FrameKind
     payload: bytes = b""
     flags: int = 0
     _encoded: ClassVar[Optional[bytes]] = None  # an instance's own once encoded() keeps it
+
+    def __init__(self, kind: FrameKind, payload: bytes = b"", flags: int = 0) -> None:
+        # one write of the instance dict, where a frozen __init__ sets each field apart
+        self.__dict__.update(kind=kind, payload=payload, flags=flags)
 
     @property
     def compressed(self) -> bool:
@@ -493,8 +497,8 @@ def encode_frame(frame: Frame) -> bytes:
     if frame.kind not in FrameKind._value2member_map_:
         raise WireError(f"unsupported frame kind {frame.kind!r}")
     header = _FRAME_HEADER.pack(MAGIC, VERSION, frame.kind, frame.flags, len(frame.payload))
-    crc = zlib.crc32(header + frame.payload) & 0xFFFFFFFF
-    return header + frame.payload + _U32.pack(crc)
+    crc = zlib.crc32(frame.payload, zlib.crc32(header))  # over the parts: no copy only to CRC
+    return b"".join([header, frame.payload, _U32.pack(crc)])
 
 
 def frame_length(header: bytes) -> int:
@@ -516,17 +520,18 @@ def decode_frame(data: bytes) -> Frame:
         raise WireError(f"bad magic {magic!r}")
     if version != VERSION:
         raise WireError(f"unsupported version {version}")
-    if kind not in FrameKind._value2member_map_:
+    member = FrameKind._value2member_map_.get(kind)
+    if member is None:
         raise WireError(f"unknown frame kind 0x{kind:02X}")
     if len(data) != FRAME_OVERHEAD + payload_len:
         raise TruncatedError(f"frame length {len(data)} != {FRAME_OVERHEAD + payload_len} "
                              "implied by header")
     payload = data[HEADER_LEN : HEADER_LEN + payload_len]
     crc = _U32.unpack_from(data, HEADER_LEN + payload_len)[0]
-    expected = zlib.crc32(data[: HEADER_LEN + payload_len]) & 0xFFFFFFFF
+    expected = zlib.crc32(payload, zlib.crc32(data[:HEADER_LEN]))
     if crc != expected:
         raise WireError(f"crc mismatch: 0x{crc:08X} != 0x{expected:08X}")
-    return Frame(kind=FrameKind(kind), payload=payload, flags=flags)
+    return Frame(member, payload, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +554,7 @@ class CodePushPayload:
         return cls(*_whole(data, (_text, _digest, _blob)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AgentTransferPayload:
     agent_id: bytes
     digest: bytes
@@ -558,6 +563,9 @@ class AgentTransferPayload:
 
     PREFIX = struct.Struct(f">{AGENT_ID_LEN}s{DIGEST_LEN}sH")
     HEADER_LEN = PREFIX.size
+
+    def __init__(self, agent_id: bytes, digest: bytes, hop_index: int, state: bytes) -> None:
+        self.__dict__.update(agent_id=agent_id, digest=digest, hop_index=hop_index, state=state)
 
     def encode(self) -> bytes:
         if len(self.agent_id) != AGENT_ID_LEN or len(self.digest) != DIGEST_LEN:

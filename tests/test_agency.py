@@ -877,6 +877,106 @@ class TestWait:
             cluster.stop()
 
 
+class CountingCondition(threading.Condition):
+    """A condition that counts its waits and its ``notify_all`` calls."""
+
+    def __init__(self, lock=None):
+        super().__init__(lock)
+        self.waits = self.notifies = 0
+
+    def wait(self, timeout=None):
+        self.waits += 1  # counted with the lock held, so a recorder comes after the wait blocks
+        return super().wait(timeout)
+
+    def notify_all(self):
+        self.notifies += 1
+        super().notify_all()
+
+
+def counted_cluster(monkeypatch):
+    """A modeled pair whose origin waits and wakes through a ``CountingCondition``."""
+    made = []
+
+    def condition(lock=None):
+        made.append(CountingCondition(lock))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(threading, "Condition", condition)
+        cluster, record, img = make_cluster()
+    assert len(made) == 2  # one per agency
+    return cluster, record, made[0]
+
+
+class TestNotify:
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6])
+    def test_a_blocked_wait_is_woken_by_a_hop_recorded_on_another_thread(
+        self, monkeypatch, switch_interval
+    ):
+        cluster, record, changed = counted_cluster(monkeypatch)
+        origin, itinerary = cluster.agency(0), [cluster.endpoints[1], cluster.endpoints[0]]
+        returned, switch = [], sys.getswitchinterval()
+        try:
+            if switch_interval:
+                sys.setswitchinterval(switch_interval)
+            agent_id = origin.launch(record.copy(), itinerary)
+            waiter = threading.Thread(target=lambda: returned.append(origin.wait(agent_id, 1, 10.0)))
+            waiter.start()
+            assert wait_until(lambda: changed.waits >= 1)
+            runner = threading.Thread(target=cluster.network.run)
+            runner.start()
+            for thread in (runner, waiter):
+                thread.join(5.0)
+                assert not thread.is_alive()
+            assert [(h.agent_id, h.status) for h in returned] == [(agent_id, "completed")]
+            assert changed.notifies >= 1
+        finally:
+            sys.setswitchinterval(switch)
+            cluster.stop()
+
+    def test_a_record_with_nobody_waiting_notifies_no_one(self, monkeypatch):
+        cluster, record, changed = counted_cluster(monkeypatch)
+        origin, itinerary = cluster.agency(0), [cluster.endpoints[1], cluster.endpoints[0]]
+        try:
+            agent_id = origin.launch(record.copy(), itinerary)
+            cluster.network.run()
+            assert origin.wait(agent_id, 1, 1.0).status == "completed"
+            assert (len(origin.hops), changed.waits, changed.notifies) == (2, 0, 0)
+        finally:
+            cluster.stop()
+
+
+class TestThrowawayWork:
+    def test_a_warm_round_trip_builds_no_counter_and_calls_no_frame_kind(self, monkeypatch):
+        cluster, record, img = make_cluster()
+        origin, itinerary = cluster.agency(0), [cluster.endpoints[1], cluster.endpoints[0]]
+        counts = collections.Counter()
+        init, call = transport_module.LinkStats.__init__, type(FrameKind).__call__
+
+        def counted_init(self, *args):
+            counts["LinkStats"] += 1
+            init(self, *args)
+
+        def counted_call(cls, *args, **kwargs):
+            if cls is FrameKind:
+                counts["FrameKind"] += 1
+            return call(cls, *args, **kwargs)
+
+        def round_trip():
+            agent_id = origin.launch(record.copy(), itinerary)
+            cluster.network.run()
+            assert origin.wait(agent_id, 1, 1.0).status == "completed"
+
+        try:
+            round_trip()  # the warm-up makes each peer's counters
+            monkeypatch.setattr(transport_module.LinkStats, "__init__", counted_init)
+            monkeypatch.setattr(type(FrameKind), "__call__", counted_call)
+            round_trip()
+            assert counts == {}
+        finally:
+            cluster.stop()
+
+
 class TestRelaySelf:
     """A relay refuses to forward to itself, named by its bind address or by a
     loopback or wildcard alias of it on its port, and sends to any other target."""

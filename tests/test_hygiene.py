@@ -3,7 +3,7 @@ exception handler swallows an error without a word, no module reads another's
 private names, nothing sleeps, no transport option or module constant goes
 unread, no module but ``wire`` builds an ``ERROR`` frame, no module imports by
 name a codec function that the benchmark's tracer wraps, no private helper goes
-unused."""
+unused, no ``setdefault`` builds its default on every call."""
 
 import ast
 import dataclasses
@@ -326,3 +326,26 @@ def test_the_scan_finds_a_private_helper_nobody_uses():
 def test_every_private_helper_is_used():
     """When the last code that calls a helper goes, the helper goes with it."""
     assert unreferenced_private_helpers({path.stem: path.read_text(encoding="utf-8") for path in MODULES}) == []
+
+
+def built_defaults(source: str) -> list[str]:
+    """``setdefault`` calls whose default is itself a call (``d.setdefault(k, Link(k))``):
+    the default object is built on every call and dropped whenever the key is there.
+    One ``line N`` entry each."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "setdefault" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Call)]
+
+
+def test_the_scan_finds_a_default_built_on_every_call():
+    assert built_defaults("x = 1\nby_peer.setdefault(peer, LinkStats()).record(n)\n") == ["line 2"]
+    assert built_defaults("self.links.setdefault(i, transport.Link(i))\n") == ["line 1"]
+    assert built_defaults("d.setdefault(k, [])\nd.setdefault(k, failure)\nd.setdefault(k)\n") == []
+    assert built_defaults("d.get(k, Link(k))\n") == []
+
+
+def test_no_setdefault_builds_its_default_on_every_call():
+    """A counter or link made only when its key is new: ``get``, then build on a miss."""
+    found = {path.name: built_defaults(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}

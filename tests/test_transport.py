@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import logging
 import socket
@@ -52,6 +53,20 @@ class TestEndpoint:
     def test_parse(self):
         ep = parse_endpoint("10.0.0.1:9000", "udp")
         assert (ep.address, ep.port, ep.protocol) == ("10.0.0.1", 9000, "udp")
+
+    def test_the_key_is_address_and_port_and_no_part_of_the_value(self):
+        ep = Endpoint("10.0.0.1", 9000)
+        assert ep.key == ("10.0.0.1", 9000)
+        assert repr(ep) == "Endpoint(address='10.0.0.1', port=9000, protocol='tcp')"
+        assert ep == Endpoint("10.0.0.1", 9000, "tcp") and ep != Endpoint("10.0.0.1", 9000, "udp")
+        assert hash(ep) == hash(("10.0.0.1", 9000, "tcp"))  # the compared fields, no key
+        assert [f.name for f in dataclasses.fields(Endpoint) if f.init or f.repr or f.compare] == [
+            "address", "port", "protocol"]
+        moved = dataclasses.replace(ep, port=9001)
+        assert moved.key == ("10.0.0.1", 9001) and ep.key == ("10.0.0.1", 9000)
+        assert dataclasses.replace(ep, protocol="udp").key == ep.key
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ep.port = 9001
 
 
 class TestLinkModel:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -434,6 +435,48 @@ class TestFrames:
         for n in (0, 1, 100, 5000):
             f = Frame(FrameKind.AGENT_TRANSFER, b"z" * n)
             assert len(wire.encode_frame(f)) == n + wire.FRAME_OVERHEAD
+
+
+GOLDEN_TRANSFER_FRAME_HEX = (
+    "4d414d500102010000000037000102030405060708090a0b0c0d0e0f202122232425262728292a2b2c2d"
+    "2e2f303132333435363738393a3b3c3d3e3f00037374617465d5e475a4"
+)
+
+
+class TestValueTypes:
+    """Frames and transfer payloads are frozen values however they are built."""
+
+    AGENT_ID, DIGEST = bytes(range(16)), bytes(range(32, 64))
+
+    def test_a_transfer_payload_built_by_position_or_keyword_is_one_value(self):
+        by_position = wire.AgentTransferPayload(self.AGENT_ID, self.DIGEST, 3, b"state")
+        by_keyword = wire.AgentTransferPayload(state=b"state", hop_index=3, digest=self.DIGEST,
+                                               agent_id=self.AGENT_ID)
+        assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+        assert by_position != dataclasses.replace(by_position, hop_index=4)
+        assert repr(by_position) == (
+            "AgentTransferPayload(agent_id=b'\\x00\\x01\\x02\\x03\\x04\\x05\\x06\\x07\\x08\\t\\n"
+            "\\x0b\\x0c\\r\\x0e\\x0f', digest=b' !\"#$%&\\'()*+,-./0123456789:;<=>?', "
+            "hop_index=3, state=b'state')"
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            by_position.hop_index = 4
+        assert wire.AgentTransferPayload.decode(by_keyword.encode()) == by_position
+
+    def test_a_frame_built_by_position_or_keyword_is_one_value(self):
+        payload = wire.AgentTransferPayload(self.AGENT_ID, self.DIGEST, 3, b"state").encode()
+        by_position = Frame(FrameKind.AGENT_TRANSFER, payload, wire.FLAG_COMPRESSED)
+        by_keyword = Frame(flags=wire.FLAG_COMPRESSED, payload=payload, kind=FrameKind.AGENT_TRANSFER)
+        assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+        assert by_position != Frame(FrameKind.AGENT_TRANSFER, payload)
+        assert Frame(FrameKind.ACK) == Frame(FrameKind.ACK, b"", 0) == wire.ACK
+        assert repr(Frame(FrameKind.ACK)) == "Frame(kind=<FrameKind.ACK: 3>, payload=b'', flags=0)"
+        for field_name, value in (("kind", FrameKind.ACK), ("payload", b""), ("flags", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(by_position, field_name, value)
+        assert by_keyword.encoded().hex() == GOLDEN_TRANSFER_FRAME_HEX
+        assert wire.encode_frame(by_position).hex() == GOLDEN_TRANSFER_FRAME_HEX
+        assert wire.decode_frame(bytes.fromhex(GOLDEN_TRANSFER_FRAME_HEX)) == by_position
 
 
 class TestPayloadCodecs:
