@@ -277,8 +277,9 @@ class Agency:
     itinerary stop and relay target with it. ``opts`` sets how frames are sent.
 
     ``hops`` is the hop log: one ``HopRecord`` per hop run here and per launch,
-    the newest ``HOP_LOG_RECORDS`` of them. Hops run on the transport's hop threads
-    in real-socket mode, so read it there through a copy, ``list(agency.hops)``.
+    the newest ``HOP_LOG_RECORDS`` of them. Hops run on other threads in real-socket
+    mode (the listener's or the transport's), so read it there through a copy,
+    ``list(agency.hops)``.
     ``failures`` maps an agent id to why it failed, here or as an ``ERROR``
     frame reported, and ``completions`` to what it brought home; each keeps
     the newest ``HOP_LOG_RECORDS``, and ``completions`` drops its oldest while

@@ -338,6 +338,7 @@ MAX_HOP_THREADS = 32  # threads that may run them at once; those beyond HOP_WORK
 MAX_QUEUED_HOPS = 64  # deferred tasks that may wait while MAX_HOP_THREADS run; one more is refused
 CLOSE_WAIT_S = 5.0  # close() waits this long for those threads; one still busy ends on its own
 RECV_CHUNK = 64 * 1024  # most that one receive into a connection's read buffer asks for
+_here = threading.local()  # on a TCP connection's thread: conn, (listener, socket), and a hop claimed
 
 
 def _fill(sock: socket.socket, buffer: bytearray, n: int, exact: bool) -> None:
@@ -385,7 +386,9 @@ def _still_open(sock: socket.socket) -> bool:
 class _HopThreads:
     """The threads that run a ``SocketTransport``'s deferred tasks (admitted hops).
 
-    ``HOP_WORKERS`` threads wait for tasks until ``close``. A task that finds
+    A task deferred on a TCP connection's thread runs there, counted among them,
+    if a follower takes the connection over (``_TcpListener.claim_follower``);
+    ``HOP_WORKERS`` threads wait for the others until ``close``. A task that finds
     every thread busy starts one more, up to ``MAX_HOP_THREADS``. Unless a busy
     one comes free within a few of the interpreter's switch intervals, that
     thread takes tasks until none is queued, then ends; so a hop held up by its
@@ -398,8 +401,8 @@ class _HopThreads:
     def __init__(self) -> None:
         self._lock = threading.Condition(threading.Lock())  # notified as each task ends
         self._tasks: queue.SimpleQueue = queue.SimpleQueue()
-        self._threads: list[threading.Thread] = []
-        self._pending = 0  # tasks queued or running
+        self._threads: list[threading.Thread] = []  # with each connection's thread claimed to run a task
+        self._pending, self._closed = 0, False  # tasks queued or running; whether close() has begun
         for _ in range(HOP_WORKERS):
             self._start(keep=True)
 
@@ -407,14 +410,34 @@ class _HopThreads:
         self._threads.append(threading.Thread(target=self._run, args=(keep,), daemon=True))
         self._threads[-1].start()
 
-    def submit(self, fn: Callable[[], None]) -> None:
+    def submit(self, fn: Callable[[], None], conn: Optional[tuple] = None) -> None:
+        """Queue ``fn``, or claim it for this thread, which serves ``conn`` (listener, socket)."""
         with self._lock:
             if self._pending >= MAX_HOP_THREADS + MAX_QUEUED_HOPS:
                 raise BusyError(f"{MAX_QUEUED_HOPS} deferred tasks already wait for a thread")
             self._pending += 1
-            self._tasks.put(fn)
-            if self._pending > len(self._threads) < MAX_HOP_THREADS:
-                self._start(keep=False)
+            room = len(self._threads) < MAX_HOP_THREADS
+            if conn is not None and room and (inbox := conn[0].claim_follower(conn[1])) is not None:
+                self._threads.append(threading.current_thread())
+                _here.hop = (self, fn, inbox)
+            else:
+                self._tasks.put(fn)
+                if self._pending > len(self._threads) and room:
+                    self._start(keep=False)
+
+    def run(self, task: Callable[[], None], claimed: bool = True) -> bool:
+        """Run a task, by default one ``submit`` claimed for this thread; False once closed."""
+        try:
+            task()
+        except Exception as exc:  # reported as a thread of its own would be
+            threading.excepthook(threading.ExceptHookArgs(
+                (type(exc), exc, exc.__traceback__, threading.current_thread())))
+        with self._lock:
+            self._pending -= 1
+            self._lock.notify()
+            if claimed:
+                self._threads.remove(threading.current_thread())
+            return not self._closed
 
     def _next(self, keep: bool) -> Optional[Callable[[], None]]:
         if keep:
@@ -439,20 +462,13 @@ class _HopThreads:
         if not keep and self._freed_in_time():
             return
         while (task := self._next(keep)) is not None:
-            try:
-                task()
-            except Exception as exc:  # reported as a thread of its own would be
-                threading.excepthook(threading.ExceptHookArgs(
-                    (type(exc), exc, exc.__traceback__, threading.current_thread())))
-            with self._lock:
-                self._pending -= 1
-                self._lock.notify()
+            self.run(task, claimed=False)
 
     def close(self) -> None:
-        """Let the threads run the queued tasks and end. Wait up to ``CLOSE_WAIT_S``
-        for them, the calling thread aside, and log how many are still busy."""
+        """Let the threads run the queued tasks and end. Wait up to ``CLOSE_WAIT_S`` for them,
+        the calling thread aside, and log how many are still busy."""
         with self._lock:
-            threads = list(self._threads)
+            threads, self._closed = list(self._threads), True
         for _ in threads:
             self._tasks.put(None)
         deadline = time.monotonic() + CLOSE_WAIT_S
@@ -501,13 +517,16 @@ class _TcpListener(_SocketListener):
     at once (``open_connections``); one accepted beyond that is closed at once.
     ``CONN_TIMEOUT_S`` is each connection's socket timeout: a peer that moves no
     byte for that long, idle, stalled mid-frame or not reading its reply, is
-    closed, so silent peers cannot keep the table full. ``close`` stops each
-    connection's reading and waits for its thread, which answers the frame in hand only.
+    closed, so silent peers cannot keep the table full. A deferred hop runs on the
+    thread that read its frame if a parked follower takes the connection over
+    (``claim_follower``). ``close`` stops each connection's reading and waits for
+    its thread, which answers the frame in hand only, and for parked followers.
     """
 
     def __init__(self, sock: socket.socket, handler: Handler) -> None:
         self._lock = threading.Lock()
         self._conns: dict[socket.socket, threading.Thread] = {}  # each open connection's thread
+        self._parked: Optional[list[tuple[threading.Thread, queue.SimpleQueue]]] = None  # made on first need
         super().__init__(sock, handler)
 
     @property
@@ -519,6 +538,7 @@ class _TcpListener(_SocketListener):
             while True:
                 try:
                     sock, addr = self._sock.accept()
+                    sock.settimeout(CONN_TIMEOUT_S)
                 except OSError:  # close() shut the socket, or the peer gave up before we got to it
                     if self._closed.is_set():
                         return
@@ -526,7 +546,8 @@ class _TcpListener(_SocketListener):
                 with self._lock:  # close() admits no connection after it has taken the lock
                     full = len(self._conns) >= MAX_CONNECTIONS
                     if not full and not self._closed.is_set():
-                        thread = threading.Thread(target=self._serve, args=(sock, addr), daemon=True)
+                        thread = threading.Thread(target=self._work, daemon=True,
+                                                  args=((sock, bytearray(), addr), queue.SimpleQueue()))
                         self._conns[sock] = thread
                         thread.start()
                         continue
@@ -535,26 +556,53 @@ class _TcpListener(_SocketListener):
                                 self.endpoint_port, MAX_CONNECTIONS, addr)
                 sock.close()
 
-    def _serve(self, sock: socket.socket, addr: tuple) -> None:
-        try:
-            sock.settimeout(CONN_TIMEOUT_S)
-            buffer = bytearray()  # pipelined frames read ahead wait here, answered in order
-            while not self._closed.is_set():  # queued bytes stay readable after SHUT_RD
-                try:
-                    data = read_frame_bytes(sock, buffer)
-                except wire.WireError as exc:  # the stream cannot be resynchronised: answer, then close
-                    _send_whole(sock, wire.nack(wire.ERR_BAD_FRAME, str(exc)).encoded())
-                    return
-                _send_whole(sock, _handle_raw(self._handler, data, addr))
-        except socket.timeout:
-            log.debug("listener on port %d: closing connection from %s, silent for %.0f s",
-                      self.endpoint_port, addr, CONN_TIMEOUT_S)
-        except (OSError, TransportError):  # the peer closed, perhaps mid-frame, or close() shut it
-            pass
-        finally:
+    def claim_follower(self, sock: socket.socket) -> Optional[queue.SimpleQueue]:
+        """The inbox of a parked follower, ``sock``'s thread from now, or None (the first need makes them)."""
+        with self._lock:  # close() leaves an empty list
+            if self._parked is None:
+                self._parked = [(threading.Thread(target=self._work, args=(None, inbox), daemon=True), inbox)
+                                for inbox in (queue.SimpleQueue() for _ in range(HOP_WORKERS))]
+                for thread, _ in self._parked:
+                    thread.start()
+            elif self._parked:
+                self._conns[sock], inbox = self._parked.pop()
+                return inbox
+        return None
+
+    def _work(self, conn: Optional[tuple], inbox: queue.SimpleQueue) -> None:
+        """Serve a connection till it closes, or till a hop claimed on it: hand it over, then run that."""
+        while conn is not None or (conn := inbox.get()) is not None:
+            (sock, buffer, addr), claimed, conn = conn, None, None
+            _here.conn, _here.hop = (self, sock), None
+            try:
+                while claimed is None and not self._closed.is_set():  # queued bytes stay readable after SHUT_RD
+                    try:
+                        data = read_frame_bytes(sock, buffer)  # pipelined frames read ahead wait in buffer
+                    except wire.WireError as exc:  # the stream cannot be resynchronised: answer, then close
+                        _send_whole(sock, wire.nack(wire.ERR_BAD_FRAME, str(exc)).encoded())
+                        break
+                    reply = _handle_raw(self._handler, data, addr)
+                    claimed, _here.hop = _here.hop, None
+                    _send_whole(sock, reply)
+            except socket.timeout:
+                log.debug("listener on port %d: closing connection from %s, silent for %.0f s",
+                          self.endpoint_port, addr, CONN_TIMEOUT_S)
+            except (OSError, TransportError):  # the peer closed, perhaps mid-frame, or close() shut it
+                pass
+            finally:
+                _here.conn = None
+                if claimed is not None:  # written or not: a failed write fails the follower's read too
+                    claimed[2].put((sock, buffer, addr))
+                else:
+                    with self._lock:
+                        del self._conns[sock]
+                    sock.close()
+            if claimed is None or not claimed[0].run(claimed[1]):
+                return
             with self._lock:
-                del self._conns[sock]
-            sock.close()
+                if self._closed.is_set():
+                    return
+                self._parked.append((threading.current_thread(), inbox))
 
     def close(self) -> None:
         with self._lock:
@@ -565,8 +613,11 @@ class _TcpListener(_SocketListener):
                     sock.shutdown(socket.SHUT_RD)
                 except OSError:
                     pass
+            parked, self._parked = self._parked or [], []
+        for _, inbox in parked:
+            inbox.put(None)
         super().close()
-        for thread in threads:
+        for thread in threads + [thread for thread, _ in parked]:
             if thread is not threading.current_thread():  # a handler may close its own listener
                 thread.join()
 
@@ -618,20 +669,23 @@ class SocketTransport(_Transport):
     connection to its (peer, ``no_delay``), and only if the peer has not closed
     it meanwhile (``_still_open``, which leaves its timeout alone) and it has
     been idle for less than half of ``CONN_TIMEOUT_S``, so it is never written
-    just as the peer's listener closes it for silence. Its timeout is set only
-    when the send's ``connect_timeout_s`` differs. A frame is never
-    written twice: a failure after the write is a ``TransportError``, so a hop
-    runs at most once. UDP sends one datagram per frame, with one retransmission.
-    ``serve`` answers each TCP connection on a thread of its own (``_TcpListener``)
-    and every UDP datagram on the listener's one thread. ``defer`` hands a hop to
-    ``_HopThreads``, made at its first call; it never blocks a connection's thread.
-    ``close`` is final.
+    just as the peer's listener closes it for silence. With none idle while
+    ``HOP_WORKERS`` sends to that peer are out, as many as hops run at once in
+    the steady state, it waits briefly for one, whose sender most likely holds
+    its reply and only waits to run. Its timeout is set only when the send's
+    ``connect_timeout_s`` differs. A frame is never written twice: a failure
+    after the write is a ``TransportError``, so a hop runs at most once. UDP
+    sends one datagram per frame, with one retransmission. ``serve`` answers a
+    TCP connection on a thread of its own (``_TcpListener``), a UDP datagram on
+    the listener's one thread. ``defer`` runs a hop on the TCP connection thread
+    that admitted it, after the reply, or else on ``_HopThreads``. ``close`` is final.
     """
 
     def __init__(self) -> None:
         super().__init__(StatsRegistry())
-        self._lock = threading.Lock()
+        self._lock = threading.Condition(threading.Lock())  # notified as a connection is put idle
         self._idle: list[tuple[tuple, socket.socket, float]] = []  # (key, socket, idle since), oldest first
+        self._out: list[tuple] = []  # the key of each send in flight, from _take_idle to _put_idle
         self._hops: Optional[_HopThreads] = None  # from the first defer to close()
         self._closed = False
 
@@ -660,25 +714,33 @@ class SocketTransport(_Transport):
         return reply_bytes, time.perf_counter() - start
 
     def _take_idle(self, key: tuple) -> Optional[socket.socket]:
-        """The newest idle connection for ``key`` that is fit for use, or None."""
+        """The newest idle connection for ``key`` fit for use, or None, the send out till ``_put_idle``;
+        with none idle and ``HOP_WORKERS`` out to ``key``, first wait a few switch intervals for one."""
         while True:
             with self._lock:
+                if self._out.count(key) >= HOP_WORKERS:  # returns at once if one is idle
+                    self._lock.wait_for(lambda: any(entry[0] == key for entry in self._idle),
+                                        4 * sys.getswitchinterval())
+                self._out.append(key)
                 mine = [i for i, entry in enumerate(self._idle) if entry[0] == key]
                 if not mine:
                     return None
                 _, sock, since = self._idle.pop(mine[-1])
             if time.monotonic() - since < CONN_TIMEOUT_S / 2 and _still_open(sock):
                 return sock
-            sock.close()
+            self._put_idle(key, sock, keep=False)
 
-    def _put_idle(self, key: tuple, sock: socket.socket) -> None:
+    def _put_idle(self, key: tuple, sock: Optional[socket.socket], keep: bool) -> None:
         with self._lock:
-            if not self._closed:
+            self._out.remove(key)
+            if keep and not self._closed:
                 self._idle.append((key, sock, time.monotonic()))
+                self._lock.notify_all()
                 if len(self._idle) <= MAX_IDLE:
                     return
                 sock = self._idle.pop(0)[1]  # the one idle longest
-        sock.close()
+        if sock is not None:
+            sock.close()
 
     def _connect(self, endpoint: Endpoint, opts: TransportOpts) -> socket.socket:
         try:
@@ -690,25 +752,19 @@ class SocketTransport(_Transport):
         return sock
 
     def _send_tcp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
-        key = (endpoint.key, opts.no_delay)
-        sock = self._take_idle(key) or self._connect(endpoint, opts)
-        buffer = bytearray()
+        key, sock, keep = (endpoint.key, opts.no_delay), None, False
         try:
+            sock = self._take_idle(key) or self._connect(endpoint, opts)
             if sock.gettimeout() != opts.connect_timeout_s:  # a pooled one may have another
                 sock.settimeout(opts.connect_timeout_s)
             _send_whole(sock, data)
-            reply = read_frame_bytes(sock, buffer)
+            reply = read_frame_bytes(sock, buffer := bytearray())
+            keep = not buffer  # bytes past the reply: the stream is out of step
+            return reply
         except OSError as exc:
-            sock.close()
             raise TransportError(f"tcp send to {endpoint} failed: {exc}") from exc
-        except BaseException:  # a reply cut short or malformed leaves the stream out of step
-            sock.close()
-            raise
-        if buffer:  # bytes past the reply: the stream is out of step
-            sock.close()
-        else:
-            self._put_idle(key, sock)
-        return reply
+        finally:  # a reply cut short or malformed leaves the stream out of step too
+            self._put_idle(key, sock, keep)
 
     def _send_udp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
         family = socket.AF_INET6 if ":" in endpoint.address else socket.AF_INET
@@ -751,4 +807,4 @@ class SocketTransport(_Transport):
                 raise TransportError("transport is closed")
             if self._hops is None:
                 self._hops = _HopThreads()
-            self._hops.submit(fn)
+            self._hops.submit(fn, getattr(_here, "conn", None))

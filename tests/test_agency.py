@@ -1319,3 +1319,154 @@ class TestHopWorkersOverSockets:
         # A sends from the launching thread only. B sends each agent on, at most 2 at once, but
         # one agent's send may still be reading its ACK when the next hop there sends
         assert connects["a"] == 1 and 1 <= connects["b"] <= transport_module.HOP_WORKERS + 1
+
+
+def reading_pair(entered, release):
+    """``tcp_pair`` with a behavior held at B as ``held_behavior``'s; it also returns the
+    threads that read B's transfers and the threads that ran B's hops, in order."""
+    readers, runners = [], []
+
+    def task(state, ctx):
+        if ctx.host_name == "b":
+            runners.append(threading.get_ident())
+            if not release.is_set():
+                entered.release()
+                release.wait(10)
+
+    a, b = (Agency(name, Endpoint("127.0.0.1", 0), SocketTransport(), TransportOpts(no_delay=True))
+            for name in ("a", "b"))
+
+    def recorded(frame, source, handle=b.handle_frame):
+        if frame.kind == FrameKind.AGENT_TRANSFER:
+            readers.append(threading.get_ident())
+        return handle(frame, source)
+
+    b.handle_frame = recorded  # before start(), which serves it
+    for agency in (a, b):
+        agency.start()
+        agency.install_code(image("MAExample", b"h" * 64))
+        agency.register_behavior("MAExample", Behavior("held", HELD_FIELDS, lambda state, ctx: None, task))
+    return a, b, readers, runners
+
+
+class TestHopsOnTheReadingThread:
+    """Over TCP a hop runs on the thread that read its frame, after the reply, and a parked
+    follower reads the connection on; the first hop, which makes the followers, goes to
+    the hop threads."""
+
+    def test_the_hop_runs_where_its_frame_was_read_and_the_connection_reads_on(self):
+        entered, release = threading.Semaphore(0), threading.Event()
+        a, b, readers, runners = reading_pair(entered, release)
+        connects = []
+        a.transport._connect = lambda endpoint, opts, connect=a.transport._connect: (
+            connects.append(endpoint) or connect(endpoint, opts))
+        try:
+            release.set()
+            assert a.wait(launch(a, [b.bind, a.bind]), 1, 5).status == "completed"
+            assert readers[0] != runners[0]  # it found no follower: a hop thread ran it
+            release.clear()
+            first = launch(a, [b.bind, a.bind])
+            assert entered.acquire(timeout=5)
+            assert readers[1] == runners[1]
+            second = launch(a, [b.bind, a.bind])  # ACKed while the first hop is held
+            assert entered.acquire(timeout=5)
+            assert readers[2] == runners[2] != runners[1]
+            assert len(connects) == 1 and b._listener.open_connections == 1  # one pooled connection
+            release.set()
+            for agent_id in (first, second):
+                assert a.wait(agent_id, 1, 5).status == "completed"
+        finally:
+            release.set()
+            a.stop()
+            b.stop()
+
+    def test_crossing_traffic_cannot_stall(self):
+        # each hop takes a little while, so that hops overlap with frames arriving both ways
+        a, b = tcp_pair(Behavior("slow", HELD_FIELDS, lambda state, ctx: None,
+                                 lambda state, ctx: time.sleep(0.002)))
+        agents, lock = {}, threading.Lock()
+
+        def launch_four(origin, itinerary):
+            for _ in range(4):
+                agent_id = launch(origin, itinerary)
+                with lock:
+                    agents[agent_id] = origin
+
+        launchers = [threading.Thread(target=launch_four, args=(a, [b.bind, a.bind, b.bind, a.bind])),
+                     threading.Thread(target=launch_four, args=(b, [a.bind, b.bind, a.bind, b.bind]))]
+        try:
+            deadline = time.monotonic() + 10
+            for thread in launchers:
+                thread.start()
+            for thread in launchers:
+                thread.join(10)
+                assert not thread.is_alive()
+            assert len(agents) == 8
+            for agent_id, origin in agents.items():
+                assert origin.wait(agent_id, 3, max(0.0, deadline - time.monotonic())).status == "completed"
+            assert not a.failures and not b.failures
+        finally:
+            a.stop()
+            b.stop()
+
+    def test_a_frame_read_ahead_goes_with_the_connection_to_the_follower(self):
+        entered, release = threading.Semaphore(0), threading.Event()
+        a, b = tcp_pair(held_behavior("b", entered, release))
+        try:
+            release.set()
+            assert a.wait(launch(a, [b.bind, a.bind]), 1, 5).status == "completed"  # makes B's followers
+            release.clear()
+            record = StateRecord(kind_name="MAExample", fields=HELD_FIELDS)
+            record.set("it", [str(b.bind), str(a.bind)])
+            agent_id = b"\x01" * 16
+            payload = wire.AgentTransferPayload(agent_id, b.lookup_code("MAExample").digest, 0,
+                                                wire.encode_state(record))
+            with socket.create_connection(b.bind.key, timeout=5) as client:
+                # one write: the transfer and a frame B refuses, read together at B
+                transfer = Frame(FrameKind.AGENT_TRANSFER, payload.encode()).encoded()
+                client.sendall(transfer + wire.ACK.encoded())
+                assert transport_module.read_frame_bytes(client) == wire.ACK.encoded()
+                assert entered.acquire(timeout=5)
+                refusal = wire.decode_frame(transport_module.read_frame_bytes(client))
+                assert not release.is_set()  # answered by the follower while the hop is held
+                assert wire.ErrorPayload.decode(refusal.payload).code == wire.ERR_BAD_FRAME
+            release.set()
+            assert a.wait(agent_id, 1, 5).status == "completed"
+        finally:
+            release.set()
+            a.stop()
+            b.stop()
+
+    def test_concurrent_hops_leave_every_count_as_they_found_it(self):
+        interval = sys.getswitchinterval()
+        a, b = tcp_pair(pingpong_behavior(HELD_FIELDS))
+        agents, lock = [], threading.Lock()
+
+        def launch_some():
+            for _ in range(25):
+                agent_id = launch(a, [b.bind, a.bind])
+                with lock:
+                    agents.append(agent_id)
+
+        launchers = [threading.Thread(target=launch_some) for _ in range(4)]
+        try:
+            sys.setswitchinterval(1e-5)
+            for thread in launchers:
+                thread.start()
+            for thread in launchers:
+                thread.join(20)
+                assert not thread.is_alive()
+            for agent_id in agents:
+                assert a.wait(agent_id, 1, 10).status == "completed"
+            sys.setswitchinterval(interval)
+            # a lost update would leave a hop counted, a thread neither parked nor ended, or a send out
+            workers = transport_module.HOP_WORKERS
+            for agency in (a, b):
+                hops, listener = agency.transport._hops, agency._listener
+                assert wait_until(lambda: hops._pending == 0 and len(hops._threads) == workers)
+                assert wait_until(lambda: len(listener._parked) == workers)
+                assert wait_until(lambda: agency.transport._out == [])
+        finally:
+            sys.setswitchinterval(interval)
+            a.stop()
+            b.stop()

@@ -95,3 +95,22 @@ def test_main_compares_the_workloads_that_ran_and_exits_1_on_a_failed_run(tmp_pa
     assert code == 1
     assert doc["failed_runs"] == ["pingpong-tcp parent seed 2"]
     assert sorted(doc["summary"]) == sorted(w["name"] for w in spec["workloads"] if w["name"] != "pingpong-tcp")
+
+
+def test_a_runs_seconds_and_windows_come_from_its_samples_line():
+    stdout = ("workload pingpong-tcp, seed 901, 10 s, trace 0, on CPU 1\n"
+              "samples: 51734 correct ops of 51734 in 9.87 s (50 windows); 10 set-ups\n"
+              "unscaled: ops_per_s 5241.6\n")
+    assert bench_pairs.parse_samples(stdout) == {"measured_s": 9.87, "windows": 50}
+    assert bench_pairs.parse_samples("traced: 9082 ops in 2.50 s; untraced: 12135 ops in 2.68 s\n") == {}
+
+
+def test_pairs_that_ran_a_different_number_of_windows_are_listed():
+    def run(seed, windows):
+        return {"seed": seed, "windows": windows}
+
+    by_workload = {
+        "pingpong-tcp": {"parent": [run(1, 150), run(2, 150)], "change": [run(1, 150), run(2, 145)]},
+        "push-tree": {"parent": [run(1, 150)], "change": [run(1, 150)]},
+    }
+    assert bench_pairs.unequal_windows(by_workload) == ["pingpong-tcp seed 2: parent 150 windows, change 145"]

@@ -19,8 +19,11 @@ its median beats the parent's by more than the distance between the parent's
 quartiles) and whether it is worse than the parent's median by more than the
 metric's bound. A workload with a failed run on either side is listed under
 ``failed_runs`` and left out of the summary; the other workloads are still
-compared. The exit code is 1 when a run failed or any metric is worse than its
-bound, else 0.
+compared. Each run keeps its measured seconds and window count, read from the
+run's ``samples: ... in X s (N windows)`` line; a pair whose two sides ran a
+different number of windows (one side lost time, say to a stall between
+windows) is listed under ``unequal_windows`` and printed on stderr. The exit
+code is 1 when a run failed or any metric is worse than its bound, else 0.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -39,6 +43,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = re.compile(r"^samples: .* in ([0-9.]+) s \((\d+) windows\)", re.MULTILINE)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -67,8 +72,14 @@ def src_lines(checkout: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "agentway").glob("*.py"))
 
 
+def parse_samples(stdout: str) -> dict:
+    """A run's measured seconds and window count, from its ``samples:`` line; {} without one."""
+    match = SAMPLES.search(stdout)
+    return {"measured_s": float(match[1]), "windows": int(match[2])} if match else {}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``checkout``: its exit code and its final JSON line."""
+    """One benchmark run in ``checkout``: its exit code, measured time, window count and final JSON line."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -77,7 +88,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "metrics": {}, "stderr": proc.stderr[-2000:]}
-    return {"seed": seed, "exit_code": proc.returncode, **result}
+    return {"seed": seed, "exit_code": proc.returncode, **parse_samples(proc.stdout), **result}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -125,6 +136,15 @@ def summarise(metrics: list[dict], runs: dict[str, dict[str, list[dict]]]) -> di
     }
 
 
+def unequal_windows(runs: dict[str, dict[str, list[dict]]]) -> list[str]:
+    """Each pair whose parent and change ran a different number of windows."""
+    return [
+        f"{w} seed {p['seed']}: parent {p.get('windows')} windows, change {c.get('windows')}"
+        for w, by_side in runs.items() for p, c in zip(by_side["parent"], by_side["change"])
+        if p.get("windows") != c.get("windows")
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against, e.g. HEAD")
@@ -170,6 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine()},
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "failed_runs": failed,
+        "unequal_windows": unequal_windows(runs),
         "worse_than_bound": worse,
         "summary": summary,
         "runs": runs,
@@ -186,6 +207,8 @@ def main(argv: list[str] | None = None) -> int:
           f"({lines['change'] - lines['parent']:+d})")
     for line in failed:
         print(f"failed run: {line}")
+    for line in doc["unequal_windows"]:
+        print(f"unequal windows: {line}", file=sys.stderr)
     return 1 if failed or worse else 0
 
 
