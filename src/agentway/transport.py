@@ -386,16 +386,15 @@ def _still_open(sock: socket.socket) -> bool:
 class _HopThreads:
     """The threads that run a ``SocketTransport``'s deferred tasks (admitted hops).
 
-    A task deferred on a TCP connection's thread runs there, counted among them,
-    if a follower takes the connection over (``_TcpListener.claim_follower``);
-    ``HOP_WORKERS`` threads wait for the others until ``close``. A task that finds
-    every thread busy starts one more, up to ``MAX_HOP_THREADS``. Unless a busy
-    one comes free within a few of the interpreter's switch intervals, that
-    thread takes tasks until none is queued, then ends; so a hop held up by its
-    behavior or by a stalled peer holds up no other for longer than that.
-    Beyond that ``MAX_QUEUED_HOPS`` tasks may wait, and one more is a
-    ``BusyError``: ``submit`` never blocks. A task that raises goes to
-    ``threading.excepthook``; its thread goes on.
+    ``HOP_WORKERS`` threads wait for tasks until ``close``; a task deferred on a TCP
+    connection's thread runs there instead, counted among them, if a parked follower
+    takes the connection over (``_TcpListener.claim_follower``). A task that finds every
+    thread busy starts one more, up to ``MAX_HOP_THREADS``. Unless a busy one comes
+    free within a few of the interpreter's switch intervals, that thread takes tasks
+    until none is queued, then ends; so a hop held up by its behavior or by a stalled
+    peer holds up no other for longer than that. Beyond that ``MAX_QUEUED_HOPS`` tasks
+    may wait, and one more is a ``BusyError``: ``submit`` never blocks. A task that
+    raises goes to ``threading.excepthook``; its thread goes on.
     """
 
     def __init__(self) -> None:
@@ -519,8 +518,8 @@ class _TcpListener(_SocketListener):
     byte for that long, idle, stalled mid-frame or not reading its reply, is
     closed, so silent peers cannot keep the table full. A deferred hop runs on the
     thread that read its frame if a parked follower takes the connection over
-    (``claim_follower``). ``close`` stops each connection's reading and waits for
-    its thread, which answers the frame in hand only, and for parked followers.
+    (``claim_follower``). ``close`` stops each connection's reading and waits for its
+    thread, which answers the frame in hand only, and for the parked followers.
     """
 
     def __init__(self, sock: socket.socket, handler: Handler) -> None:
@@ -669,23 +668,20 @@ class SocketTransport(_Transport):
     connection to its (peer, ``no_delay``), and only if the peer has not closed
     it meanwhile (``_still_open``, which leaves its timeout alone) and it has
     been idle for less than half of ``CONN_TIMEOUT_S``, so it is never written
-    just as the peer's listener closes it for silence. With none idle while
-    ``HOP_WORKERS`` sends to that peer are out, as many as hops run at once in
-    the steady state, it waits briefly for one, whose sender most likely holds
-    its reply and only waits to run. Its timeout is set only when the send's
-    ``connect_timeout_s`` differs. A frame is never written twice: a failure
-    after the write is a ``TransportError``, so a hop runs at most once. UDP
-    sends one datagram per frame, with one retransmission. ``serve`` answers a
-    TCP connection on a thread of its own (``_TcpListener``), a UDP datagram on
-    the listener's one thread. ``defer`` runs a hop on the TCP connection thread
-    that admitted it, after the reply, or else on ``_HopThreads``. ``close`` is final.
+    just as the peer's listener closes it for silence. Its timeout is set only
+    when the send's ``connect_timeout_s`` differs. A frame is never written
+    twice: a failure after the write is a ``TransportError``, so a hop runs at
+    most once. UDP sends one datagram per frame, with one retransmission.
+    ``serve`` answers a TCP connection on a thread of its own (``_TcpListener``),
+    a UDP datagram on the listener's one thread. ``defer`` runs a hop on the TCP
+    connection thread that admitted it, after the reply, or else on
+    ``_HopThreads``. ``close`` is final.
     """
 
     def __init__(self) -> None:
         super().__init__(StatsRegistry())
-        self._lock = threading.Condition(threading.Lock())  # notified as a connection is put idle
+        self._lock = threading.Lock()
         self._idle: list[tuple[tuple, socket.socket, float]] = []  # (key, socket, idle since), oldest first
-        self._out: list[tuple] = []  # the key of each send in flight, from _take_idle to _put_idle
         self._hops: Optional[_HopThreads] = None  # from the first defer to close()
         self._closed = False
 
@@ -714,33 +710,25 @@ class SocketTransport(_Transport):
         return reply_bytes, time.perf_counter() - start
 
     def _take_idle(self, key: tuple) -> Optional[socket.socket]:
-        """The newest idle connection for ``key`` fit for use, or None, the send out till ``_put_idle``;
-        with none idle and ``HOP_WORKERS`` out to ``key``, first wait a few switch intervals for one."""
+        """The newest idle connection for ``key`` that is fit for use, or None."""
         while True:
             with self._lock:
-                if self._out.count(key) >= HOP_WORKERS:  # returns at once if one is idle
-                    self._lock.wait_for(lambda: any(entry[0] == key for entry in self._idle),
-                                        4 * sys.getswitchinterval())
-                self._out.append(key)
                 mine = [i for i, entry in enumerate(self._idle) if entry[0] == key]
                 if not mine:
                     return None
                 _, sock, since = self._idle.pop(mine[-1])
             if time.monotonic() - since < CONN_TIMEOUT_S / 2 and _still_open(sock):
                 return sock
-            self._put_idle(key, sock, keep=False)
+            sock.close()
 
-    def _put_idle(self, key: tuple, sock: Optional[socket.socket], keep: bool) -> None:
+    def _put_idle(self, key: tuple, sock: socket.socket) -> None:
         with self._lock:
-            self._out.remove(key)
-            if keep and not self._closed:
+            if not self._closed:
                 self._idle.append((key, sock, time.monotonic()))
-                self._lock.notify_all()
                 if len(self._idle) <= MAX_IDLE:
                     return
                 sock = self._idle.pop(0)[1]  # the one idle longest
-        if sock is not None:
-            sock.close()
+        sock.close()
 
     def _connect(self, endpoint: Endpoint, opts: TransportOpts) -> socket.socket:
         try:
@@ -752,19 +740,25 @@ class SocketTransport(_Transport):
         return sock
 
     def _send_tcp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
-        key, sock, keep = (endpoint.key, opts.no_delay), None, False
+        key = (endpoint.key, opts.no_delay)
+        sock = self._take_idle(key) or self._connect(endpoint, opts)
+        buffer = bytearray()
         try:
-            sock = self._take_idle(key) or self._connect(endpoint, opts)
             if sock.gettimeout() != opts.connect_timeout_s:  # a pooled one may have another
                 sock.settimeout(opts.connect_timeout_s)
             _send_whole(sock, data)
-            reply = read_frame_bytes(sock, buffer := bytearray())
-            keep = not buffer  # bytes past the reply: the stream is out of step
-            return reply
+            reply = read_frame_bytes(sock, buffer)
         except OSError as exc:
+            sock.close()
             raise TransportError(f"tcp send to {endpoint} failed: {exc}") from exc
-        finally:  # a reply cut short or malformed leaves the stream out of step too
-            self._put_idle(key, sock, keep)
+        except BaseException:  # a reply cut short or malformed leaves the stream out of step
+            sock.close()
+            raise
+        if buffer:  # bytes past the reply: the stream is out of step
+            sock.close()
+        else:
+            self._put_idle(key, sock)
+        return reply
 
     def _send_udp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
         family = socket.AF_INET6 if ":" in endpoint.address else socket.AF_INET

@@ -1459,13 +1459,12 @@ class TestHopsOnTheReadingThread:
             for agent_id in agents:
                 assert a.wait(agent_id, 1, 10).status == "completed"
             sys.setswitchinterval(interval)
-            # a lost update would leave a hop counted, a thread neither parked nor ended, or a send out
+            # a lost update would leave a hop counted, or a thread neither parked nor ended
             workers = transport_module.HOP_WORKERS
             for agency in (a, b):
                 hops, listener = agency.transport._hops, agency._listener
                 assert wait_until(lambda: hops._pending == 0 and len(hops._threads) == workers)
                 assert wait_until(lambda: len(listener._parked) == workers)
-                assert wait_until(lambda: agency.transport._out == [])
         finally:
             sys.setswitchinterval(interval)
             a.stop()
