@@ -19,11 +19,11 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar, Iterable, Optional
 
 from . import wire
 from .transport import BusyError, Endpoint, Receipt, TransportOpts, parse_endpoint
-from .wire import Frame, FrameKind, FieldDescriptor, StateRecord
+from .wire import Frame, FrameKind, FieldDescriptor, Schema, StateRecord
 
 log = logging.getLogger(__name__)
 
@@ -158,9 +158,12 @@ class Behavior:
     """A named executor bound to a kind: schema plus on-arrival and task steps."""
 
     name: str
-    schema: list[FieldDescriptor]
+    schema: Schema  # a list passed in is made one
     on_arrival: Callable[[StateRecord, HostContext], None]
     task: Callable[[StateRecord, HostContext], None]
+
+    def __post_init__(self) -> None:
+        self.schema = Schema(self.schema)
 
 
 def _bump_hop(state: StateRecord, ctx: HostContext) -> None:
@@ -178,17 +181,17 @@ def _collect_host(state: StateRecord, ctx: HostContext) -> None:
     state.set("data", folder)
 
 
-def pingpong_behavior(schema: list[FieldDescriptor]) -> Behavior:
+def pingpong_behavior(schema: Iterable[FieldDescriptor]) -> Behavior:
     """A→B→A round-tripper that performs no task at all."""
     return Behavior("pingpong", schema, on_arrival=_bump_hop, task=_noop)
 
 
-def collector_behavior(schema: list[FieldDescriptor]) -> Behavior:
+def collector_behavior(schema: Iterable[FieldDescriptor]) -> Behavior:
     """Appends the visited host's name to the agent's data folder."""
     return Behavior("collector", schema, on_arrival=_bump_hop, task=_collect_host)
 
 
-BUILTIN_BEHAVIORS: dict[str, Callable[[list[FieldDescriptor]], Behavior]] = {
+BUILTIN_BEHAVIORS: dict[str, Callable[[Iterable[FieldDescriptor]], Behavior]] = {
     "pingpong": pingpong_behavior,
     "collector": collector_behavior,
 }

@@ -207,7 +207,6 @@ class RunConfig:
 def _make_pingpong_pair(config: RunConfig):
     """Two agencies wired for a ping-pong run; returns (A, B, itinerary, teardown)."""
     template = config.state if config.state is not None else optimised_record()
-    schema = list(template.fields)
     if config.mode == "modeled":
         network = InProcNetwork()
         a_ep = Endpoint("10.0.0.1", 7001, config.opts.protocol)
@@ -227,7 +226,7 @@ def _make_pingpong_pair(config: RunConfig):
     image = CodeImage.from_code(kind, b"\x00" * 256)
     for agency in (agency_a, agency_b):
         agency.install_code(image)
-        agency.register_behavior(kind, pingpong_behavior(schema))
+        agency.register_behavior(kind, pingpong_behavior(template.fields))
 
     def teardown() -> None:
         agency_a.stop()
@@ -491,7 +490,6 @@ def _frame_bytes_for_state(state_bytes: bytes) -> int:
 def measure_serdes_cost(description: str, record: StateRecord, reps: int = 30) -> SerdesCost:
     """Median cost of one full serdes round trip (2 encodes + 2 decodes),
     with and without compression, measured on this machine."""
-    schema = list(record.fields)
     encoded = wire.encode_state(record)
     compressed = wire.compress_payload(encoded)
 
@@ -501,7 +499,7 @@ def measure_serdes_cost(description: str, record: StateRecord, reps: int = 30) -
             img = wire.encode_state(record)
             if compress:
                 img = wire.decompress_payload(wire.compress_payload(img))
-            wire.decode_state(img, schema)
+            wire.decode_state(img, record.fields)
         return time.perf_counter_ns() - t0
 
     plain, gz = [], []

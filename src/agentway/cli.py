@@ -134,7 +134,7 @@ def _build_agency(config: dict, args: argparse.Namespace) -> Agency:
         if "schema" in entry:
             _, _, schema = wire.schema_from_dict(entry["schema"])
         else:
-            schema = list(bench.optimised_record().fields)
+            schema = bench.optimised_record().fields
         agency.register_behavior(kind, factory(schema))
     return agency
 

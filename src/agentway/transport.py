@@ -653,8 +653,8 @@ class _UdpListener(_SocketListener):
                 try:
                     reply = _handle_raw(self._handler, data, addr)
                     self._sock.sendmsg([reply], [_reply_source(*item) for item in info], 0, addr)
-                except OSError:
-                    pass
+                except OSError as exc:  # the sender retransmits or reports no ack
+                    log.warning("listener on port %d: reply to %s not sent: %s", self.endpoint_port, addr, exc)
 
 
 class SocketTransport(_Transport):

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import gzip
 import struct
-import threading
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Any, Callable, ClassVar, Iterable, Optional
 
@@ -280,6 +279,23 @@ def schema_hash(fields: Iterable[FieldDescriptor]) -> int:
     return zlib.crc32(b"".join(_prefix(f) for f in fields if not f.transient)) & 0xFFFFFFFF
 
 
+class Schema(tuple):
+    """A kind's fields: an immutable tuple of ``FieldDescriptor``s with distinct names. It
+    compiles its codec on its first encode or decode and keeps it for all that hold it."""
+
+    def __new__(cls, fields: Iterable[FieldDescriptor] = ()) -> "Schema":
+        if type(fields) is cls:
+            return fields
+        schema = super().__new__(cls, fields)
+        if len({f.name for f in schema}) != len(schema):
+            raise WireError("duplicate field names in record")
+        return schema
+
+    @cached_property  # once built, the codec is read from the instance without a call
+    def codec(self) -> "_Codec":
+        return _Codec(self)
+
+
 @dataclass
 class StateRecord:
     """An agent's typed fields plus identity; the unit of serialization.
@@ -289,13 +305,11 @@ class StateRecord:
 
     kind_name: str
     namespace: str = ""
-    fields: list[FieldDescriptor] = field(default_factory=list)
+    fields: Schema = field(default_factory=Schema)  # a list passed in is made one
     values: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        names = [f.name for f in self.fields]
-        if len(set(names)) != len(names):
-            raise WireError("duplicate field names in record")
+        self.fields = Schema(self.fields)
         for f in self.fields:
             if f.name not in self.values:
                 self.values[f.name] = field_default(f)
@@ -315,8 +329,9 @@ class StateRecord:
         self.values[name] = value
 
     def copy(self) -> "StateRecord":
-        values = {k: _own(v) for k, v in self.values.items()}
-        return StateRecord(self.kind_name, self.namespace, list(self.fields), values)
+        record = StateRecord.__new__(StateRecord)  # __post_init__ checked this one when it was built
+        vars(record).update(vars(self), values={k: _own(v) for k, v in self.values.items()})
+        return record
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +339,12 @@ class StateRecord:
 # bytes), a tail of schema_hash (u32) and persistent field count (u16), then for each
 # persistent field a prefix of name (u8 len + bytes) and type tag (u8) before its value
 
-CODEC_TABLE_ENTRIES = 256  # compiled schemas kept; the oldest compiled goes first
-_codecs: dict[tuple[int, ...], "_Codec"] = {}
-_codecs_lock = threading.Lock()
-
 
 class _Codec:
     """One schema compiled: its hash and tail, each persistent field's prefix,
     reader and writer, the transients' defaults, and the last header written."""
 
-    def __init__(self, fields: tuple[FieldDescriptor, ...]) -> None:
-        if len({f.name for f in fields}) != len(fields):
-            raise WireError("duplicate field names in record")
-        self.fields = fields  # held, so no other object takes their ids while this is cached
+    def __init__(self, fields: Schema) -> None:
         persistent = [f for f in fields if not f.transient]
         if len(persistent) > 0xFFFF:
             raise WireError("too many persistent fields")
@@ -357,22 +365,9 @@ class _Codec:
         return head[2]
 
 
-def _compiled(fields: list[FieldDescriptor]) -> _Codec:
-    """The schema's codec, keyed on its descriptors' ids, which it holds while cached."""
-    key = tuple(map(id, fields))
-    codec = _codecs.get(key)
-    if codec is None:
-        codec = _Codec(tuple(fields))
-        with _codecs_lock:
-            _codecs[key] = codec
-            while len(_codecs) > CODEC_TABLE_ENTRIES:
-                del _codecs[next(iter(_codecs))]
-    return codec
-
-
 def encode_state(record: StateRecord) -> bytes:
     """Serialize the persistent part of a record to its canonical bytes."""
-    codec, values = _compiled(record.fields), record.values
+    codec, values = record.fields.codec, record.values
     header = codec.header(record.kind_name, record.namespace)
     return b"".join([header, *[write(values[name]) for name, write in codec.writers]])
 
@@ -382,9 +377,11 @@ def peek_kind_name(data: bytes) -> str:
     return _text(data, 0)[0]
 
 
-def decode_state(data: bytes, schema: list[FieldDescriptor]) -> StateRecord:
-    """Rebuild a record: persistent fields from the wire, transients at defaults."""
-    codec = _compiled(schema)
+def decode_state(data: bytes, schema: Iterable[FieldDescriptor]) -> StateRecord:
+    """Rebuild a record of ``schema``: persistent fields from the wire, transients at
+    defaults. A schema given as a list is compiled for this call only."""
+    schema = schema if type(schema) is Schema else Schema(schema)  # no call on every hop's path
+    codec = schema.codec
     kind, pos = _text(data, 0)
     namespace, pos = _text(data, pos)
     if not data.startswith(codec.tail, pos):  # the hash, else the count, differs
@@ -409,8 +406,8 @@ def decode_state(data: bytes, schema: list[FieldDescriptor]) -> StateRecord:
     values.update(codec.defaults)
     for name, default in codec.lists:
         values[name] = list(default)
-    record = StateRecord.__new__(StateRecord)  # the codec made __post_init__'s checks
-    vars(record).update(kind_name=kind, namespace=namespace, fields=list(schema), values=values)
+    record = StateRecord.__new__(StateRecord)  # the schema and this decoder made __post_init__'s checks
+    vars(record).update(kind_name=kind, namespace=namespace, fields=schema, values=values)
     return record
 
 
@@ -423,7 +420,7 @@ class SizeBreakdown:
 
 def measure_state(record: StateRecord) -> SizeBreakdown:
     """Exact byte accounting of the encoded state, per field."""
-    codec = _compiled(record.fields)
+    codec = record.fields.codec
     header = len(codec.header(record.kind_name, record.namespace))
     per_field = {name: len(write(record.values[name])) for name, write in codec.writers}
     return SizeBreakdown(header + sum(per_field.values()), header, per_field)

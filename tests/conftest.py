@@ -99,6 +99,19 @@ class Cluster:
 
 
 @pytest.fixture
+def codec_builds(monkeypatch):
+    """Each schema whose codec ``wire`` builds from now on, in order."""
+    built = []
+
+    def counted(schema, _codec=wire._Codec):
+        built.append(schema)
+        return _codec(schema)
+
+    monkeypatch.setattr(wire, "_Codec", counted)
+    return built
+
+
+@pytest.fixture
 def demo_record():
     return bench.optimised_record()
 

@@ -807,9 +807,8 @@ class TestItineraryTable:
         assert held == agency_module._itinerary_chars
         assert len(agency_module._itineraries) < 10_000
 
-    def test_threads_keep_both_tables_bounded_and_counted(self, monkeypatch):
+    def test_threads_keep_the_table_bounded_and_counted(self, monkeypatch):
         monkeypatch.setattr(agency_module, "ITINERARY_TABLE_CHARS", 2_000)
-        monkeypatch.setattr(wire, "CODEC_TABLE_ENTRIES", 8)
         errors = []
 
         def worker(n):
@@ -837,7 +836,6 @@ class TestItineraryTable:
         assert errors == []
         held = sum(len(stop) for stops, _ in agency_module._itineraries for stop in stops)
         assert held == agency_module._itinerary_chars <= 2_000
-        assert len(wire._codecs) <= 8
 
 
 class TestWait:

@@ -207,6 +207,23 @@ class TestCrossover:
         )
 
 
+class TestSchemaHandOver:
+    def test_each_records_schema_builds_its_codec_once(self, codec_builds):
+        pingpong, sized = bench.optimised_record(), bench.sized_variant(4000)
+        variants = bench.default_size_variants()
+        schemas = [pingpong.fields, sized.fields] + [
+            r.fields for v in variants for r in (v.record, v.baseline) if r is not None]
+        codec_builds.clear()  # sized_variant measured a record of its own
+        bench.run_pingpong(RunConfig(repetitions=1000, state=pingpong))
+        bench.measure_serdes_cost("x", sized, reps=5)
+        bench.run_size_experiment(variants)
+        # a list rebuilt from a schema would make a schema of its own, and compile it
+        assert all(any(s is schema for schema in schemas) for s in codec_builds)
+        assert len({id(s) for s in codec_builds}) == len(codec_builds)
+        assert any(s is pingpong.fields for s in codec_builds)
+        assert any(s is sized.fields for s in codec_builds)
+
+
 class TestReports:
     def test_pingpong_csv_has_one_row_per_run(self, tmp_path):
         timings = bench.run_pingpong(RunConfig(repetitions=5, warmup=1))

@@ -369,6 +369,28 @@ class TestUdpSockets:
         finally:
             listener.close()
 
+    def test_a_reply_that_cannot_be_sent_is_logged(self, monkeypatch, caplog):
+        transport = SocketTransport()
+        listener = transport.serve(Endpoint(LOOP, 0, "udp"), ack_handler)
+        ep = Endpoint(LOOP, listener.endpoint_port, "udp")
+
+        def refused(sock, *args, _method=socket.socket.sendmsg):
+            if sock is listener._sock:
+                raise OSError(105, "No buffer space available")
+            return _method(sock, *args)
+
+        monkeypatch.setattr(socket.socket, "sendmsg", refused)
+        try:
+            with caplog.at_level(logging.WARNING, logger="agentway.transport"):
+                with pytest.raises(TransportError, match="no ack"):  # the sender sees a lost reply
+                    transport.send_frame(ep, Frame(FrameKind.ACK),
+                                         TransportOpts(protocol="udp", ack_timeout_s=0.05))
+        finally:
+            listener.close()
+        [message] = {r.getMessage() for r in caplog.records if "not sent" in r.getMessage()}
+        assert message.startswith(f"listener on port {ep.port}: reply to ('{LOOP}', ")
+        assert message.endswith("not sent: [Errno 105] No buffer space available")
+
     def test_oversize_rejected_before_sending(self):
         transport = SocketTransport()
         with pytest.raises(OversizeError):

@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -232,15 +234,56 @@ class TestStateRobustness:
 
 
 class TestCodecTable:
-    def test_holds_at_most_its_entries(self):
+    def test_a_thousand_schemas_leave_no_module_table_to_grow(self):
+        def tables():
+            return {name: len(value) for name, value in vars(wire).items()
+                    if isinstance(value, (dict, list, set))}
+
+        before = tables()
         for i in range(1000):
             fields = [  # a list default makes the descriptor unhashable
                 FieldDescriptor(f"f{i}", TypeTag.INT32),
                 FieldDescriptor("seen", TypeTag.STRING_ARRAY, transient=True, default=["home"]),
             ]
-            out = wire.decode_state(wire.encode_state(rec(fields=fields, values={f"f{i}": -i})), fields)
+            record = rec(fields=fields, values={f"f{i}": -i})
+            out = wire.decode_state(wire.encode_state(record), record.fields)
             assert out.values == {f"f{i}": -i, "seen": ["home"]}
-            assert len(wire._codecs) <= wire.CODEC_TABLE_ENTRIES
+            assert out.fields is record.fields and "codec" in vars(record.fields)
+        assert tables() == before
+        assert not hasattr(wire, "_codecs") and not hasattr(wire, "CODEC_TABLE_ENTRIES")
+
+    def test_a_fresh_schema_decoded_from_8_threads_keeps_one_codec(self, codec_builds):
+        schema, data = wire.Schema(GOLDEN_FIELDS), bytes.fromhex(GOLDEN_HEX)
+        start, results, errors = threading.Barrier(8), [], []
+
+        def worker():
+            try:
+                start.wait()
+                for _ in range(50):
+                    results.append(wire.decode_state(data, schema))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []
+        assert len(results) == 400 and all(r == results[0] for r in results)
+        assert results[0].values == TestGoldenBytes().record().values | {"seen": ["home"]}
+        assert all(r.fields is schema for r in results)
+        # at most one build per thread; a build that lost a race is dropped
+        assert 1 <= len(codec_builds) <= 8 and all(s is schema for s in codec_builds)
+        builds, kept = len(codec_builds), vars(schema)["codec"]
+        assert wire.decode_state(data, schema) == results[0]
+        assert len(codec_builds) == builds and schema.codec is kept  # the schema keeps one codec
 
     def test_equal_schemas_made_apart_decode_alike(self):
         def schema():
