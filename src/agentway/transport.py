@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import ipaddress
 import logging
+import math
 import queue
 import select
 import socket
+import struct
 import sys
 import threading
 import time
@@ -78,6 +80,12 @@ class TransportOpts:
     compress: bool = False
     ack_timeout_s: float = 0.5  # UDP: one retransmission after this, then error
     connect_timeout_s: float = 5.0  # TCP: also bounds each wait for the peer to take or send bytes
+
+    def __post_init__(self) -> None:
+        for name in ("ack_timeout_s", "connect_timeout_s"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be a positive finite number of seconds, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -332,7 +340,7 @@ class ModeledTransport(_Transport):
 
 MAX_IDLE = 16  # idle TCP connections a SocketTransport keeps, over all peers
 MAX_CONNECTIONS = 64  # accepted TCP connections one listener serves at once
-CONN_TIMEOUT_S = 30.0  # a served connection's socket timeout: silent this long, idle or mid-frame, it is closed
+CONN_TIMEOUT_S = 30.0  # a served connection's kernel timeouts: silent this long, idle or mid-frame, it is closed
 HOP_WORKERS = 2  # threads kept to run a SocketTransport's deferred tasks (admitted hops)
 MAX_HOP_THREADS = 32  # threads that may run them at once; those beyond HOP_WORKERS end when idle
 MAX_QUEUED_HOPS = 64  # deferred tasks that may wait while MAX_HOP_THREADS run; one more is refused
@@ -354,9 +362,17 @@ def read_frame_bytes(sock: socket.socket, buffer: Optional[bytearray] = None) ->
 
     With ``buffer``, a ``bytearray`` kept per connection, each receive asks for up to
     ``RECV_CHUNK`` bytes, so a frame that has arrived is read in one, and bytes past the
-    frame stay in ``buffer`` for the next call. Without one, exactly the frame is read."""
+    frame stay in ``buffer`` for the next call. An empty ``buffer`` and a receive that
+    brought exactly one whole frame return that receive's ``bytes`` as they are; any
+    other amount goes through ``buffer``. Without one, exactly the frame is read."""
     exact = buffer is None
-    buffer = bytearray() if exact else buffer
+    if exact:
+        buffer = bytearray()
+    elif not buffer:
+        chunk = sock.recv(RECV_CHUNK)
+        if len(chunk) >= wire.HEADER_LEN and wire.frame_length(chunk) == len(chunk):
+            return chunk
+        buffer += chunk  # nothing (the peer closed), part of a frame, or more than one
     _fill(sock, buffer, wire.HEADER_LEN, exact)
     end = wire.frame_length(buffer)
     _fill(sock, buffer, end, exact)
@@ -367,17 +383,32 @@ def read_frame_bytes(sock: socket.socket, buffer: Optional[bytearray] = None) ->
 
 def _send_whole(sock: socket.socket, data: bytes) -> None:
     """Hand the kernel all of the frame it will take at each call: a frame cut
-    into writes waits on the peer's delayed ACK. The socket's timeout bounds
-    each call, not the whole frame, as in ``read_frame_bytes``."""
-    view = memoryview(data)
-    while view:
-        view = view[sock.send(view):]
+    into writes waits on the peer's delayed ACK. One send takes a frame the
+    kernel has room for; only a frame it took part of is sent on from a
+    ``memoryview``. The socket's kernel timeout bounds each call, not the
+    whole frame, as in ``read_frame_bytes``."""
+    sent = sock.send(data)
+    if sent < len(data):
+        view = memoryview(data)[sent:]
+        while view:
+            view = view[sock.send(view):]
+
+
+def _set_timeouts(sock: socket.socket, timeout_s: float) -> None:
+    """Bound each receive and each send on a blocking socket in the kernel
+    (``SO_RCVTIMEO``, ``SO_SNDTIMEO``): one that runs out raises ``BlockingIOError``
+    (EAGAIN). A Python timeout would make each call a poll plus the call, and
+    release the GIL around each of the two."""
+    usec = max(1, round(timeout_s * 1e6))  # a zero timeval means no timeout at all
+    timeval = struct.pack("@ll", *divmod(usec, 1_000_000))
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
 
 
 def _still_open(sock: socket.socket) -> bool:
     """An idle connection is fit to carry a frame only while nothing can be read
     from it: a peer that closed it makes it readable (end of stream). One zero-timeout
-    poll tells, which leaves the socket's timeout alone."""
+    poll tells, which leaves the socket's mode and its kernel timeouts alone."""
     poller = select.poll()
     poller.register(sock, select.POLLIN)
     return not poller.poll(0)  # readable, or an error or hang-up, which poll always reports
@@ -514,12 +545,14 @@ class _TcpListener(_SocketListener):
     frame whose handler sends frames itself (a relay forwarding code) holds up
     only its own connection. At most ``MAX_CONNECTIONS`` connections are open
     at once (``open_connections``); one accepted beyond that is closed at once.
-    ``CONN_TIMEOUT_S`` is each connection's socket timeout: a peer that moves no
-    byte for that long, idle, stalled mid-frame or not reading its reply, is
-    closed, so silent peers cannot keep the table full. A deferred hop runs on the
-    thread that read its frame if a parked follower takes the connection over
-    (``claim_follower``). ``close`` stops each connection's reading and waits for its
-    thread, which answers the frame in hand only, and for the parked followers.
+    Each connection's socket blocks, and ``CONN_TIMEOUT_S`` is its kernel receive
+    and send timeout (``_set_timeouts``), so each read or write is one system
+    call: a peer that moves no byte for that long, idle, stalled mid-frame or not
+    reading its reply, is closed, so silent peers cannot keep the table full.
+    A deferred hop runs on the thread that read its frame if a parked follower
+    takes the connection over (``claim_follower``). ``close`` stops each
+    connection's reading and waits for its thread, which answers the frame in
+    hand only, and for the parked followers.
     """
 
     def __init__(self, sock: socket.socket, handler: Handler) -> None:
@@ -536,8 +569,8 @@ class _TcpListener(_SocketListener):
         with self._sock:
             while True:
                 try:
-                    sock, addr = self._sock.accept()
-                    sock.settimeout(CONN_TIMEOUT_S)
+                    sock, addr = self._sock.accept()  # blocking, as the listening socket is
+                    _set_timeouts(sock, CONN_TIMEOUT_S)
                 except OSError:  # close() shut the socket, or the peer gave up before we got to it
                     if self._closed.is_set():
                         return
@@ -583,8 +616,8 @@ class _TcpListener(_SocketListener):
                     reply = _handle_raw(self._handler, data, addr)
                     claimed, _here.hop = _here.hop, None
                     _send_whole(sock, reply)
-            except socket.timeout:
-                log.debug("listener on port %d: closing connection from %s, silent for %.0f s",
+            except BlockingIOError:  # EAGAIN: a kernel timeout ran out
+                log.debug("listener on port %d: closing connection from %s, silent for %g s",
                           self.endpoint_port, addr, CONN_TIMEOUT_S)
             except (OSError, TransportError):  # the peer closed, perhaps mid-frame, or close() shut it
                 pass
@@ -666,10 +699,13 @@ class SocketTransport(_Transport):
     peers; one put past that closes the connection idle longest, and one with
     bytes past its reply is closed, not put. A send takes the newest idle
     connection to its (peer, ``no_delay``), and only if the peer has not closed
-    it meanwhile (``_still_open``, which leaves its timeout alone) and it has
-    been idle for less than half of ``CONN_TIMEOUT_S``, so it is never written
-    just as the peer's listener closes it for silence. Its timeout is set only
-    when the send's ``connect_timeout_s`` differs. A frame is never written
+    it meanwhile (``_still_open``) and it has been idle for less than half of
+    ``CONN_TIMEOUT_S``, so it is never written just as the peer's listener
+    closes it for silence. A connection blocks once it has connected, and
+    ``connect_timeout_s`` is its kernel receive and send timeout
+    (``_set_timeouts``), so its send and its receive are one system call each;
+    its idle entry keeps that timeout, which is set again only for a send
+    whose ``connect_timeout_s`` differs. A frame is never written
     twice: a failure after the write is a ``TransportError``, so a hop runs at
     most once. UDP sends one datagram per frame, with one retransmission.
     ``serve`` answers a TCP connection on a thread of its own (``_TcpListener``),
@@ -681,7 +717,7 @@ class SocketTransport(_Transport):
     def __init__(self) -> None:
         super().__init__(StatsRegistry())
         self._lock = threading.Lock()
-        self._idle: list[tuple[tuple, socket.socket, float]] = []  # (key, socket, idle since), oldest first
+        self._idle: list[tuple[tuple, socket.socket, float, float]] = []  # (key, socket, idle since, timeout)
         self._hops: Optional[_HopThreads] = None  # from the first defer to close()
         self._closed = False
 
@@ -695,7 +731,7 @@ class SocketTransport(_Transport):
             self._closed = True
             hops, self._hops = self._hops, None
             idle, self._idle = self._idle, []
-        for _, sock, _ in idle:
+        for _, sock, _, _ in idle:
             sock.close()
         if hops is not None:  # outside the lock, which a hop ending its send meanwhile takes
             hops.close()
@@ -709,22 +745,22 @@ class SocketTransport(_Transport):
         reply_bytes = exchange(endpoint, data, opts)
         return reply_bytes, time.perf_counter() - start
 
-    def _take_idle(self, key: tuple) -> Optional[socket.socket]:
-        """The newest idle connection for ``key`` that is fit for use, or None."""
+    def _take_idle(self, key: tuple) -> tuple[Optional[socket.socket], float]:
+        """The newest idle connection for ``key`` that is fit for use and its timeout, or (None, 0)."""
         while True:
             with self._lock:
                 mine = [i for i, entry in enumerate(self._idle) if entry[0] == key]
                 if not mine:
-                    return None
-                _, sock, since = self._idle.pop(mine[-1])
+                    return None, 0.0
+                _, sock, since, timeout_s = self._idle.pop(mine[-1])
             if time.monotonic() - since < CONN_TIMEOUT_S / 2 and _still_open(sock):
-                return sock
+                return sock, timeout_s
             sock.close()
 
-    def _put_idle(self, key: tuple, sock: socket.socket) -> None:
+    def _put_idle(self, key: tuple, sock: socket.socket, timeout_s: float) -> None:
         with self._lock:
             if not self._closed:
-                self._idle.append((key, sock, time.monotonic()))
+                self._idle.append((key, sock, time.monotonic(), timeout_s))
                 if len(self._idle) <= MAX_IDLE:
                     return
                 sock = self._idle.pop(0)[1]  # the one idle longest
@@ -735,29 +771,32 @@ class SocketTransport(_Transport):
             sock = socket.create_connection(endpoint.key, timeout=opts.connect_timeout_s)
         except OSError as exc:
             raise TransportError(f"tcp connect to {endpoint} failed: {exc}") from exc
+        sock.settimeout(None)  # the connect keeps its Python timeout; each call after it, the kernel's
         if opts.no_delay:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
     def _send_tcp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
-        key = (endpoint.key, opts.no_delay)
-        sock = self._take_idle(key) or self._connect(endpoint, opts)
+        key, timeout_s = (endpoint.key, opts.no_delay), opts.connect_timeout_s
+        sock, pooled_timeout_s = self._take_idle(key)
+        sock = sock or self._connect(endpoint, opts)
         buffer = bytearray()
         try:
-            if sock.gettimeout() != opts.connect_timeout_s:  # a pooled one may have another
-                sock.settimeout(opts.connect_timeout_s)
+            if pooled_timeout_s != timeout_s:  # a new connection, or a pooled one with another
+                _set_timeouts(sock, timeout_s)
             _send_whole(sock, data)
             reply = read_frame_bytes(sock, buffer)
         except OSError as exc:
             sock.close()
-            raise TransportError(f"tcp send to {endpoint} failed: {exc}") from exc
+            reason = f"timed out after {timeout_s:g} s" if isinstance(exc, BlockingIOError) else exc
+            raise TransportError(f"tcp send to {endpoint} failed: {reason}") from exc
         except BaseException:  # a reply cut short or malformed leaves the stream out of step
             sock.close()
             raise
         if buffer:  # bytes past the reply: the stream is out of step
             sock.close()
         else:
-            self._put_idle(key, sock)
+            self._put_idle(key, sock, timeout_s)
         return reply
 
     def _send_udp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:

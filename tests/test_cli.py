@@ -135,6 +135,14 @@ class TestConfigFiles:
         assert err.startswith('error: unknown "transport" key(s) in config: buffer_size, compress_level')
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [0, -1.0, float("inf")])  # json writes and reads inf as Infinity
+    def test_a_timeout_that_is_not_a_positive_finite_number_is_exit_1(self, tmp_path, capsys, value):
+        config = write_json(tmp_path / "bench.json", {"repetitions": 1, "transport": {"connect_timeout_s": value}})
+        assert main(["bench-pingpong", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: connect_timeout_s must be a positive finite number")
+        assert "Traceback" not in err
+
 
 def serve_agency(tmp_path, name, port=0, behaviors=None):
     """Start a real-socket agency from a config file; returns (agency, endpoint)."""

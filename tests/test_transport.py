@@ -45,6 +45,13 @@ def serve_tcp(handler=ack_handler):
     return transport, listener, Endpoint(LOOP, listener.endpoint_port, "tcp")
 
 
+def kernel_timeouts(sock):
+    """A socket's ``SO_RCVTIMEO`` and ``SO_SNDTIMEO``, in seconds."""
+    return tuple(sec + usec / 1e6 for sec, usec in (
+        struct.unpack("@ll", sock.getsockopt(socket.SOL_SOCKET, option, struct.calcsize("@ll")))
+        for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO)))
+
+
 class TestEndpoint:
     def test_hostname_rejected(self):
         with pytest.raises(ValueError, match="literal"):
@@ -67,6 +74,14 @@ class TestEndpoint:
         assert dataclasses.replace(ep, protocol="udp").key == ep.key
         with pytest.raises(dataclasses.FrozenInstanceError):
             ep.port = 9001
+
+
+class TestTransportOpts:
+    @pytest.mark.parametrize("value", [0, -1.0, float("inf"), float("nan"), "5"])
+    @pytest.mark.parametrize("name", ["connect_timeout_s", "ack_timeout_s"])
+    def test_a_timeout_must_be_a_positive_finite_number(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive finite number"):
+            TransportOpts(**{name: value})
 
 
 class TestLinkModel:
@@ -826,7 +841,7 @@ class TestTcpConnections:
         try:
             for port in (listener.endpoint_port for listener in listeners):
                 assert transport.send_frame(Endpoint(LOOP, port, "tcp"), Frame(FrameKind.ACK)).ok
-            assert [peer[1] for (peer, _), _, _ in transport._idle] == [
+            assert [peer[1] for (peer, _), *_ in transport._idle] == [
                 listener.endpoint_port for listener in listeners[2:]]
             assert wait_until(lambda: [listener.open_connections for listener in listeners] == [0, 0, 1, 1])
         finally:
@@ -895,22 +910,34 @@ class TestTcpConnections:
 
 
 class _ArrivedBytes:
-    """Stands in for a connected socket whose peer's bytes have all arrived; counts receives."""
+    """Stands in for a connected socket whose peer's bytes have all arrived, in ``parts``
+    (one receive takes from one part only); keeps what each receive returned."""
 
-    def __init__(self, data):
-        self.data, self.recvs = bytearray(data), 0
+    def __init__(self, *parts):
+        self.parts, self.returned = [bytearray(part) for part in parts if part], []
+
+    @property
+    def data(self):
+        return b"".join(self.parts)
+
+    @property
+    def recvs(self):
+        return len(self.returned)
 
     def recv(self, n):
-        self.recvs += 1
-        chunk = bytes(self.data[:n])
-        del self.data[:n]
+        chunk = bytes(self.parts[0][:n]) if self.parts else b""
+        if self.parts:
+            del self.parts[0][:n]
+            if not self.parts[0]:
+                del self.parts[0]
+        self.returned.append(chunk)
         return chunk
 
 
 class TestSystemCallBudget:
     """A pooled exchange: the sender polls once for liveness, sends once and receives
-    once; the listener receives once and sends once (each call on a socket with a
-    timeout is a poll plus the call)."""
+    once; the listener receives once and sends once. Each socket blocks with its
+    timeouts in the kernel, so each of those is one system call."""
 
     def test_an_arrived_frame_is_read_in_one_receive_and_the_next_from_the_buffer(self):
         ack = wire.ACK.encoded()
@@ -926,13 +953,46 @@ class TestSystemCallBudget:
         sock = _ArrivedBytes(ack + transfer)  # without a buffer, exactly the frame is read
         assert read_frame_bytes(sock) == ack and sock.data == transfer
 
+    def test_a_receive_of_exactly_one_frame_is_returned_as_it_came(self):
+        transfer = Frame(FrameKind.AGENT_TRANSFER, b"x" * 120).encoded()
+        buffer = bytearray()
+        sock = _ArrivedBytes(transfer)
+        assert read_frame_bytes(sock, buffer) is sock.returned[0]
+        assert sock.recvs == 1 and buffer == b""
+
+    def test_a_frame_and_a_half_leaves_the_half_in_the_buffer(self):
+        transfer = Frame(FrameKind.AGENT_TRANSFER, b"x" * 120).encoded()
+        half = transfer[:len(transfer) // 2]
+        buffer = bytearray()
+        sock = _ArrivedBytes(transfer + half, transfer[len(half):])
+        assert read_frame_bytes(sock, buffer) == transfer and sock.recvs == 1
+        assert buffer == half
+        assert read_frame_bytes(sock, buffer) == transfer and sock.recvs == 2
+        assert buffer == b"" and sock.data == b""
+
+    def test_a_frame_cut_inside_its_header_is_read_whole(self):
+        transfer = Frame(FrameKind.AGENT_TRANSFER, b"x" * 120).encoded()
+        buffer = bytearray()
+        sock = _ArrivedBytes(transfer[:5], transfer[5:])
+        assert read_frame_bytes(sock, buffer) == transfer and sock.recvs == 2
+        assert buffer == b""
+
+    @pytest.mark.parametrize("first", [wire.HEADER_LEN, 4], ids=["whole-header", "cut-header"])
+    def test_a_bad_magic_is_refused_before_the_body_is_read(self, first):
+        transfer = bytearray(Frame(FrameKind.AGENT_TRANSFER, b"x" * 120).encoded())
+        transfer[:4] = b"NOPE"
+        sock = _ArrivedBytes(transfer[:first], transfer[first:wire.HEADER_LEN], transfer[wire.HEADER_LEN:])
+        with pytest.raises(wire.WireError, match="bad magic"):
+            read_frame_bytes(sock, bytearray())
+        assert sock.data == transfer[wire.HEADER_LEN:]  # the body is still unread
+
     def test_a_pooled_send_sends_once_receives_once_and_sets_no_timeout(self, monkeypatch):
         transport, listener, ep = serve_tcp()
         try:
             assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
-            [(_, pooled, _)] = transport._idle
+            [(_, pooled, _, _)] = transport._idle
             calls = []
-            for name in ("recv", "send", "settimeout"):
+            for name in ("recv", "send", "settimeout", "gettimeout", "setsockopt"):
                 def counted(sock, *args, _name=name, _method=getattr(socket.socket, name)):
                     if sock is pooled:
                         calls.append(_name)
@@ -941,9 +1001,10 @@ class TestSystemCallBudget:
                 monkeypatch.setattr(socket.socket, name, counted)
             assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
             assert calls == ["send", "recv"]
-            # other opts on the same connection set its timeout once
+            # another connect_timeout_s on the same connection sets its two kernel timeouts once
             assert transport.send_frame(ep, Frame(FrameKind.ACK), TransportOpts(connect_timeout_s=2.0)).ok
-            assert calls[2:] == ["settimeout", "send", "recv"]
+            assert calls[2:] == ["setsockopt", "setsockopt", "send", "recv"]
+            assert kernel_timeouts(pooled) == (2.0, 2.0)
             assert listener.open_connections == 1
         finally:
             listener.close()
@@ -982,16 +1043,20 @@ class TestSystemCallBudget:
 
 
 class TestStillOpen:
+    """The liveness poll leaves the socket's mode and its kernel timeouts alone."""
+
     def connected(self):
         with socket.create_server((LOOP, 0)) as server:
             client = socket.create_connection(server.getsockname(), timeout=5)
+            client.settimeout(None)
+            transport_module._set_timeouts(client, 5.0)
             return client, server.accept()[0]
 
     def test_an_idle_open_connection_is_open_and_keeps_its_timeout(self):
         client, peer = self.connected()
         with client, peer:
             assert transport_module._still_open(client)
-            assert client.gettimeout() == 5
+            assert client.gettimeout() is None and kernel_timeouts(client) == (5.0, 5.0)
 
     @pytest.mark.parametrize("peer_does", ["close", "write"])
     def test_a_connection_the_peer_closed_or_wrote_to_is_not_open(self, peer_does):
@@ -1002,7 +1067,83 @@ class TestStillOpen:
             else:
                 peer.sendall(b"x")
             assert wait_until(lambda: not transport_module._still_open(client))
-            assert client.gettimeout() == 5
+            assert client.gettimeout() is None and kernel_timeouts(client) == (5.0, 5.0)
+
+
+class TestKernelTimeouts:
+    """Every TCP connection blocks, with its timeout in the kernel; running out still reads as a timeout."""
+
+    def test_every_served_and_pooled_connection_blocks_with_its_kernel_timeouts(self):
+        transport, listener, ep = serve_tcp()
+        other = SocketTransport()
+        try:
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+            assert other.send_frame(ep, Frame(FrameKind.ACK), TransportOpts(connect_timeout_s=2.0)).ok
+            served = list(listener._conns)
+            assert len(served) == 2
+            for sock in served:
+                assert sock.gettimeout() is None
+                assert kernel_timeouts(sock) == (transport_module.CONN_TIMEOUT_S,) * 2
+            for client, timeout_s in ((transport, 5.0), (other, 2.0)):
+                [(_, pooled, _, kept)] = client._idle
+                assert pooled.gettimeout() is None
+                assert kernel_timeouts(pooled) == (timeout_s, timeout_s) and kept == timeout_s
+            assert transport.send_frame(ep, Frame(FrameKind.ACK), TransportOpts(connect_timeout_s=3.0)).ok
+            [(_, pooled, _, kept)] = transport._idle
+            assert kernel_timeouts(pooled) == (3.0, 3.0) and kept == 3.0
+        finally:
+            listener.close()
+            transport.close()
+            other.close()
+
+    def test_a_timeout_under_a_microsecond_is_not_set_as_none(self):
+        transport, listener, ep = serve_tcp()
+        try:
+            assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok
+            [(_, pooled, _, _)] = transport._idle
+            transport_module._set_timeouts(pooled, 1e-9)
+            assert 0 < kernel_timeouts(pooled)[0] <= 0.01  # one clock tick, where zero would wait forever
+        finally:
+            listener.close()
+            transport.close()
+
+    @pytest.mark.parametrize("payload_bytes", [0, 12 << 20], ids=["reply-never-sent", "frame-never-read"])
+    def test_a_peer_that_never_answers_fails_the_send_as_a_timeout(self, payload_bytes):
+        server = socket.create_server((LOOP, 0))
+        server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # accepted connections inherit it
+        accepted = []
+        acceptor = threading.Thread(target=lambda: accepted.append(server.accept()[0]), daemon=True)
+        transport = SocketTransport()
+        ep = Endpoint(LOOP, server.getsockname()[1], "tcp")
+        frame = Frame(FrameKind.AGENT_TRANSFER, bytes(payload_bytes))
+        try:
+            acceptor.start()
+            start = time.monotonic()
+            with pytest.raises(TransportError, match=r"tcp send to .* failed: timed out after 0.2 s$"):
+                transport.send_frame(ep, frame, TransportOpts(connect_timeout_s=0.2))
+            assert time.monotonic() - start < (1.0 if payload_bytes == 0 else 2.0)
+            assert transport._idle == []
+        finally:
+            transport.close()
+            acceptor.join(5)
+            server.close()
+            for conn in accepted:
+                conn.close()
+
+    def test_a_served_connection_silent_past_its_timeout_is_closed_and_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(transport_module, "CONN_TIMEOUT_S", 0.3)
+        caplog.set_level(logging.DEBUG, logger="agentway.transport")
+        transport, listener, ep = serve_tcp()
+        try:
+            with socket.create_connection(ep.key, timeout=5) as silent:
+                assert wait_until(lambda: listener.open_connections == 1)
+                assert wait_until(lambda: listener.open_connections == 0, timeout_s=3.0)
+                assert silent.recv(16) == b""  # closed by the listener
+            assert any("silent for 0.3 s" in record.getMessage() for record in caplog.records
+                       if record.name == "agentway.transport" and record.levelno == logging.DEBUG)
+        finally:
+            listener.close()
+            transport.close()
 
 
 class TestHopWorkers:
