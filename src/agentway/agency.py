@@ -615,7 +615,7 @@ class Agency:
             raise AgencyError("itinerary must end at the launching agency")
         if "it" not in record.values:
             raise AgencyError('record needs an "it" string-array field')
-        record.set("it", [str(ep) for ep in itinerary])
+        record.set("it", [ep.text for ep in itinerary])
         behavior = self._require_behavior(record.kind_name)
         image = self.lookup_code(record.kind_name)
         if image is None:

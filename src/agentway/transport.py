@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import ipaddress
 import logging
-import math
 import queue
 import select
 import socket
@@ -49,6 +48,7 @@ class Endpoint:
     port: int
     protocol: str = "tcp"
     key: tuple[str, int] = field(init=False, repr=False, compare=False)  # (address, port), made once
+    text: str = field(init=False, repr=False, compare=False)  # "address:port", made once
 
     def __post_init__(self) -> None:
         # addresses are literals; name resolution happens once, upstream
@@ -61,9 +61,10 @@ class Endpoint:
         if self.protocol not in ("tcp", "udp"):
             raise ValueError(f"protocol must be 'tcp' or 'udp': {self.protocol!r}")
         object.__setattr__(self, "key", (self.address, self.port))
+        object.__setattr__(self, "text", f"{self.address}:{self.port}")
 
     def __str__(self) -> str:
-        return f"{self.address}:{self.port}"
+        return self.text
 
 
 def parse_endpoint(text: str, protocol: str = "tcp") -> Endpoint:
@@ -82,10 +83,11 @@ class TransportOpts:
     connect_timeout_s: float = 5.0  # TCP: also bounds each wait for the peer to take or send bytes
 
     def __post_init__(self) -> None:
-        for name in ("ack_timeout_s", "connect_timeout_s"):
+        for name in ("ack_timeout_s", "connect_timeout_s"):  # a socket holds up to TIMEOUT_MAX s
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
-                raise ValueError(f"{name} must be a positive finite number of seconds, not {value!r}")
+            if not (isinstance(value, (int, float)) and 0 < value <= threading.TIMEOUT_MAX):
+                raise ValueError(f"{name} must be a positive finite number of seconds, at most "
+                                 f"{threading.TIMEOUT_MAX:g}, not {value!r}")
 
 
 @dataclass(frozen=True)

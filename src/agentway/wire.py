@@ -122,12 +122,22 @@ def _text(data: bytes, pos: int, length: struct.Struct = _U16) -> tuple[str, int
 
 
 def _strings(data: bytes, pos: int) -> tuple[list, int]:
-    """A u16 count of strings, each UTF-8 after its u32 byte length."""
-    count, pos = _u16(data, pos)
-    values = []
+    """A u16 count of strings, each UTF-8 after its u32 byte length, read inline."""
+    values, size, unpack = [], len(data), _U32.unpack_from
+    if pos + 2 > size:
+        _take(data, pos, 2)
+    count, pos = _U16.unpack_from(data, pos)[0], pos + 2
     for _ in range(count):
-        value, pos = _text(data, pos, _U32)
-        values.append(value)
+        start = pos + 4
+        if start > size:
+            _take(data, pos, 4)
+        pos = start + unpack(data, pos)[0]
+        if pos > size:
+            _take(data, start, pos - start)
+        try:
+            values.append(data[start:pos].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise WireError(f"invalid UTF-8 at offset {start}") from exc
     return values, pos
 
 
@@ -190,6 +200,20 @@ def _count(values: list) -> bytes:
     return _U16.pack(len(values))
 
 
+def _write_strings(prefix: bytes, values: list) -> bytes:
+    """A ``string[]`` field: its prefix, u16 count, and each item's u32 length and UTF-8."""
+    if (count := len(values)) > 0xFFFF:
+        raise WireError(f"array too long for u16 count: {count} items")
+    parts, pack = [prefix, _U16.pack(count)], _U32.pack
+    for value in values:
+        raw = value.encode("utf-8")
+        if (size := len(raw)) > 0xFFFFFFFF:
+            raise WireError(f"value too long for u32 prefix: {size} bytes")
+        parts.append(pack(size))
+        parts.append(raw)
+    return b"".join(parts)
+
+
 # ---------------------------------------------------------------------------
 # field types
 
@@ -223,8 +247,7 @@ FIELD_TYPES: dict[TypeTag, FieldType] = {
     TypeTag.FLOAT64: _fixed("float64", 0.0, "d"),
     TypeTag.STRING: _variable("string", "", lambda data, pos: _text(data, pos, _U32),
                               lambda prefix, v: prefix + _u32_prefixed(v.encode("utf-8"))),
-    TypeTag.STRING_ARRAY: _variable("string[]", [], _strings, lambda prefix, vs: b"".join(
-        [prefix, _count(vs), *[_u32_prefixed(v.encode("utf-8")) for v in vs]])),
+    TypeTag.STRING_ARRAY: _variable("string[]", [], _strings, _write_strings),
     TypeTag.BYTES: _variable("bytes", b"", _blob, lambda prefix, v: prefix + _u32_prefixed(bytes(v))),
     TypeTag.INT32_ARRAY: _variable("int32[]", [], _int32s, lambda prefix, vs: b"".join(
         [prefix, _count(vs), struct.pack(f">{len(vs)}i", *vs)])),
@@ -341,8 +364,9 @@ class StateRecord:
 
 
 class _Codec:
-    """One schema compiled: its hash and tail, each persistent field's prefix,
-    reader and writer, the transients' defaults, and the last header written."""
+    """One schema compiled: its hash and tail, each persistent field's prefix, reader
+    and writer, the transients' defaults, and ``head``: the kind, namespace and header
+    bytes of the last image it wrote or read, one tuple that is swapped whole."""
 
     def __init__(self, fields: Schema) -> None:
         persistent = [f for f in fields if not f.transient]
@@ -356,11 +380,11 @@ class _Codec:
         transients = [f for f in fields if f.transient]
         self.defaults = {f.name: f.default for f in transients if not isinstance(f.default, list)}
         self.lists = [(f.name, f.default) for f in transients if isinstance(f.default, list)]
-        self.head: Optional[tuple[str, str, bytes]] = None
+        self.head = ("", "", bytes(4) + self.tail)  # the empty kind and namespace
 
     def header(self, kind: str, namespace: str) -> bytes:
         head = self.head
-        if head is None or head[0] != kind or head[1] != namespace:
+        if head[0] != kind or head[1] != namespace:
             head = self.head = (kind, namespace, _u16_str(kind) + _u16_str(namespace) + self.tail)
         return head[2]
 
@@ -379,19 +403,26 @@ def peek_kind_name(data: bytes) -> str:
 
 def decode_state(data: bytes, schema: Iterable[FieldDescriptor]) -> StateRecord:
     """Rebuild a record of ``schema``: persistent fields from the wire, transients at
-    defaults. A schema given as a list is compiled for this call only."""
+    defaults. A schema given as a list is compiled for this call only. An image that
+    starts with the codec's kept header bytes has its kind and namespace, checked when
+    it was kept; any other image's header is read and checked, then kept."""
     schema = schema if type(schema) is Schema else Schema(schema)  # no call on every hop's path
     codec = schema.codec
-    kind, pos = _text(data, 0)
-    namespace, pos = _text(data, pos)
-    if not data.startswith(codec.tail, pos):  # the hash, else the count, differs
-        embedded, pos = _u32(data, pos)
-        if embedded != codec.hash:
-            raise SchemaMismatchError(f"schema hash 0x{embedded:08X} != expected "
-                                      f"0x{codec.hash:08X} (code/state version skew)")
-        raise SchemaMismatchError(
-            f"field count {_u16(data, pos)[0]} != schema's {len(codec.readers)}")
-    pos += len(codec.tail)
+    kind, namespace, header = codec.head
+    if data.startswith(header):
+        pos = len(header)
+    else:
+        kind, pos = _text(data, 0)
+        namespace, pos = _text(data, pos)
+        if not data.startswith(codec.tail, pos):  # the hash, else the count, differs
+            embedded, pos = _u32(data, pos)
+            if embedded != codec.hash:
+                raise SchemaMismatchError(f"schema hash 0x{embedded:08X} != expected "
+                                          f"0x{codec.hash:08X} (code/state version skew)")
+            raise SchemaMismatchError(
+                f"field count {_u16(data, pos)[0]} != schema's {len(codec.readers)}")
+        pos += len(codec.tail)
+        codec.head = (kind, namespace, data[:pos])
     values: dict[str, Any] = {}
     for prefix, name, read in codec.readers:
         if not data.startswith(prefix, pos):  # the name or the tag differs

@@ -135,7 +135,7 @@ class TestConfigFiles:
         assert err.startswith('error: unknown "transport" key(s) in config: buffer_size, compress_level')
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("value", [0, -1.0, float("inf")])  # json writes and reads inf as Infinity
+    @pytest.mark.parametrize("value", [0, -1.0, float("inf"), 1e12, 1e300])  # json writes and reads inf as Infinity
     def test_a_timeout_that_is_not_a_positive_finite_number_is_exit_1(self, tmp_path, capsys, value):
         config = write_json(tmp_path / "bench.json", {"repetitions": 1, "transport": {"connect_timeout_s": value}})
         assert main(["bench-pingpong", "--config", config]) == 1

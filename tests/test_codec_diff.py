@@ -18,7 +18,7 @@ def test_the_cases_are_seeded_and_cover_each_corpus():
     assert lines == list(codec_diff.cases(mutations=200, records=50))
     golden = bytes.fromhex(GOLDEN_HEX)
     n = len(golden)
-    assert len(lines) == n + 1 + 200 + 50
+    assert len(lines) == 2 * (n + 1 + 200) + 50
     assert lines[0] == "truncation 0: TruncatedError: need 2 bytes at offset 0, have 0"
     whole = wire.decode_state(golden, GOLDEN_FIELDS)
     digest = hashlib.sha256(repr((whole.kind_name, whole.namespace, whole.values)).encode()).hexdigest()
@@ -26,9 +26,11 @@ def test_the_cases_are_seeded_and_cover_each_corpus():
     mutated = [line.split(": ", 1)[1] for line in lines[n + 1 : n + 201]]
     assert lines[n + 1].startswith("mutation 0: ") and lines[n + 200].startswith("mutation 199: ")
     assert any("Error: " in m for m in mutated) and any("Error: " not in m for m in mutated)
-    records = lines[n + 201 :]
+    records = lines[n + 201 : n + 251]
     assert [line.split(":")[0] for line in records] == [f"record {i}" for i in range(50)]
     assert not any("Error: " in line for line in records)  # every seeded record round-trips
+    # the damaged corpora again through one warm schema: the same outcomes, case by case
+    assert lines[n + 251 :] == [f"warm {line}" for line in lines[: n + 201]]
 
 
 def test_an_outcome_is_a_digest_or_the_error():

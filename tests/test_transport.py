@@ -75,13 +75,34 @@ class TestEndpoint:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ep.port = 9001
 
+    def test_the_text_is_made_once_and_str_returns_it(self):
+        ep = Endpoint("10.0.0.1", 9000)
+        assert ep.text == "10.0.0.1:9000" and str(ep) is ep.text
+        assert dataclasses.replace(ep, port=9001).text == "10.0.0.1:9001"
+        assert str(Endpoint("::1", 80)) == "::1:80" and parse_endpoint(ep.text) == ep
+
 
 class TestTransportOpts:
-    @pytest.mark.parametrize("value", [0, -1.0, float("inf"), float("nan"), "5"])
+    # 1e12 and 1e300 are finite but past what a socket's timeout holds (threading.TIMEOUT_MAX)
+    @pytest.mark.parametrize("value", [0, -1.0, float("inf"), float("nan"), "5", 1e12, 1e300])
     @pytest.mark.parametrize("name", ["connect_timeout_s", "ack_timeout_s"])
     def test_a_timeout_must_be_a_positive_finite_number(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be a positive finite number"):
             TransportOpts(**{name: value})
+
+    @pytest.mark.parametrize("protocol", ["tcp", "udp"])
+    def test_sends_at_the_longest_timeout_a_socket_holds_succeed(self, protocol):
+        opts = TransportOpts(protocol=protocol, connect_timeout_s=threading.TIMEOUT_MAX,
+                             ack_timeout_s=threading.TIMEOUT_MAX)
+        transport = SocketTransport()
+        listener = transport.serve(Endpoint(LOOP, 0, protocol), ack_handler)
+        try:
+            endpoint = Endpoint(LOOP, listener.endpoint_port, protocol)
+            for _ in range(2):  # over TCP a new connection, then the pooled one
+                assert transport.send_frame(endpoint, Frame(FrameKind.ACK), opts).ok
+        finally:
+            listener.close()
+            transport.close()
 
 
 class TestLinkModel:

@@ -216,9 +216,14 @@ class TestStateRobustness:
         data = bytes.fromhex(GOLDEN_HEX)
         at = data.index(b"\x01s\x05") + 3  # field s: a u32 byte length, then 14 bytes of UTF-8
         ints = data.index(b"\x04ints\x08") + 6  # field ints: a u16 count, then two int32s
+        it = data.index(b"\x02it\x06") + 4  # field it: a u16 count, then "10.0.0.2:9001" and "ä"
         cases = [(data[: at + 2], f"need 4 bytes at offset {at}, have 2"),
                  (data[: at + 10], f"need 14 bytes at offset {at + 4}, have 6"),
-                 (data[: ints + 8], f"need 4 bytes at offset {ints + 6}, have 2")]
+                 (data[: ints + 8], f"need 4 bytes at offset {ints + 6}, have 2"),
+                 (data[: it + 1], f"need 2 bytes at offset {it}, have 1"),
+                 (data[: it + 4], f"need 4 bytes at offset {it + 2}, have 2"),
+                 (data[: it + 10], f"need 13 bytes at offset {it + 6}, have 4"),
+                 (data[: it + 21], f"need 4 bytes at offset {it + 19}, have 2")]
         for cut, message in cases:
             with pytest.raises(wire.TruncatedError) as caught:
                 wire.decode_state(cut, GOLDEN_FIELDS)
@@ -231,6 +236,85 @@ class TestStateRobustness:
         with pytest.raises(WireError) as caught:
             wire.decode_state(data[:at] + b"\xff\xfe" + data[at + 2 :], GOLDEN_FIELDS)
         assert str(caught.value) == f"invalid UTF-8 at offset {at}"
+
+
+class TestKeptHeader:
+    """A codec keeps the header of the last image it wrote or read and knows it by its bytes."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_schema(self):  # each test starts from a codec that kept nothing yet
+        self.fields = wire.Schema([FieldDescriptor("it", TypeTag.STRING_ARRAY),
+                                   FieldDescriptor("hop", TypeTag.INT32)])
+
+    def image(self, kind, namespace, hop=1):
+        record = StateRecord(kind, namespace, self.fields, {"it": ["10.0.0.2:7002", "ä"], "hop": hop})
+        return wire.encode_state(record)
+
+    def test_a_warm_decode_of_a_known_header_reads_no_text(self, monkeypatch):
+        other = self.image("Other", "NS", 2)
+        data = self.image("MAExample", "MAPack")  # encoding keeps its header
+        calls, text = [], wire._text
+        monkeypatch.setattr(wire, "_text", lambda data, pos, *more: calls.append(pos) or text(data, pos, *more))
+        out = wire.decode_state(data, self.fields)
+        assert calls == [] and (out.kind_name, out.namespace) == ("MAExample", "MAPack")
+        assert out.values == {"it": ["10.0.0.2:7002", "ä"], "hop": 1}
+        first = wire.decode_state(other, self.fields)  # another header is read, then kept
+        assert calls == [0, 7] and (first.kind_name, first.namespace, first.get("hop")) == ("Other", "NS", 2)
+        again = wire.decode_state(other, self.fields)
+        assert calls == [0, 7] and again == first
+        assert self.fields.codec.head == ("Other", "NS", other[:17])
+
+    def test_a_header_that_fails_its_check_is_not_kept(self):
+        data = self.image("MAExample", "MAPack")
+        kept = self.fields.codec.head
+        skewed = data[: len(kept[2]) - 2] + b"\x00\x09" + data[len(kept[2]) :]
+        with pytest.raises(wire.SchemaMismatchError, match="^field count 9 != schema's 2$"):
+            wire.decode_state(skewed, self.fields)
+        assert self.fields.codec.head is kept  # a header that failed its check is not kept
+
+    def test_one_schema_decodes_two_headers_alternating_from_8_threads(self):
+        schema = wire.Schema(GOLDEN_FIELDS)
+        golden = TestGoldenBytes().record()
+        images = [(kind, namespace, wire.encode_state(dataclasses.replace(
+            golden, kind_name=kind, namespace=namespace, fields=schema)))
+            for kind, namespace in (("MAExample", "MAPack"), ("Other", "NS2"))]
+        start, wrong, errors = threading.Barrier(8), [], []
+
+        def worker(offset):
+            try:
+                start.wait()
+                for i in range(200):
+                    kind, namespace, data = images[(i + offset) % 2]
+                    out = wire.decode_state(data, schema)
+                    if (out.kind_name, out.namespace, out.get("it")) != (kind, namespace, golden.get("it")):
+                        wrong.append((kind, out.kind_name, out.namespace))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == [] and wrong == []
+        assert images[0][2].hex() == GOLDEN_HEX
+        assert wire.encode_state(dataclasses.replace(golden, fields=schema)).hex() == GOLDEN_HEX
+
+
+class TestStringArrays:
+    def test_the_longest_array_round_trips_and_one_more_item_is_refused(self):
+        fields = [FieldDescriptor("it", TypeTag.STRING_ARRAY)]
+        longest = rec(fields=fields, values={"it": ["a"] * 0xFFFF})
+        assert wire.decode_state(wire.encode_state(longest), fields).get("it") == ["a"] * 0xFFFF
+        with pytest.raises(WireError) as caught:
+            wire.encode_state(rec(fields=fields, values={"it": [""] * 0x10000}))
+        assert str(caught.value) == "array too long for u16 count: 65536 items"
 
 
 class TestCodecTable:

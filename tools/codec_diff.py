@@ -6,7 +6,7 @@ and compare what each prints, case by case.
 Run from the repository root. The parent commit is exported as
 ``tools/bench_pairs.py`` exports it, into a temporary directory that is removed
 afterwards. In each checkout, a child interpreter with that checkout's ``src``
-first on its import path prints one line per case, for three corpora:
+first on its import path prints one line per case, for these corpora:
 
 - every truncation of ``GOLDEN_HEX``, the pinned record over every type tag in
   ``tests/test_wire.py``, decoded with its schema
@@ -14,6 +14,9 @@ first on its import path prints one line per case, for three corpora:
   same way
 - ``RECORDS`` seeded records (``random_record`` of ``tests/conftest.py``), each
   encoded, measured and decoded again
+- the truncations and the mutations again, each decoded through one warm
+  ``Schema``, kept across all of them and made to decode ``GOLDEN_HEX`` first,
+  so a codec that keeps what it read meets every damaged input
 
 Both sides read the corpus from the working tree's tests. A line is a digest of
 the case's bytes, or the type and message of the error it raised. The exit code
@@ -51,21 +54,26 @@ def cases(mutations: int = MUTATIONS, records: int = RECORDS) -> Iterator[str]:
     from conftest import random_record
     from test_wire import GOLDEN_FIELDS, GOLDEN_HEX
 
-    def decoded(data: bytes) -> Callable[[], bytes]:
+    def decoded(data: bytes, schema) -> Callable[[], bytes]:
         def case() -> bytes:
-            record = wire.decode_state(data, GOLDEN_FIELDS)
+            record = wire.decode_state(data, schema)
             return repr((record.kind_name, record.namespace, record.values)).encode()
         return case
 
     golden = bytes.fromhex(GOLDEN_HEX)
-    for n in range(len(golden) + 1):
-        yield f"truncation {n}: {_outcome(decoded(golden[:n]))}"
-    rng = random.Random(18)
-    for i in range(mutations):
-        data = bytearray(golden)
-        for _ in range(rng.randint(1, 3)):
-            data[rng.randrange(len(data))] = rng.randrange(256)
-        yield f"mutation {i}: {_outcome(decoded(bytes(data)))}"
+
+    def damaged() -> Iterator[tuple[str, bytes]]:
+        for n in range(len(golden) + 1):
+            yield f"truncation {n}", golden[:n]
+        rng = random.Random(18)
+        for i in range(mutations):
+            data = bytearray(golden)
+            for _ in range(rng.randint(1, 3)):
+                data[rng.randrange(len(data))] = rng.randrange(256)
+            yield f"mutation {i}", bytes(data)
+
+    for name, data in damaged():  # a list schema: a fresh codec for every case
+        yield f"{name}: {_outcome(decoded(data, GOLDEN_FIELDS))}"
     rng = random.Random(42)
     for i in range(records):
         record = random_record(rng)
@@ -77,6 +85,10 @@ def cases(mutations: int = MUTATIONS, records: int = RECORDS) -> Iterator[str]:
             return data + repr((sizes, back.kind_name, back.namespace, back.values)).encode()
 
         yield f"record {i}: {_outcome(case)}"
+    warm = wire.Schema(GOLDEN_FIELDS)
+    wire.decode_state(golden, warm)
+    for name, data in damaged():
+        yield f"warm {name}: {_outcome(decoded(data, warm))}"
 
 
 def checkout_lines(checkout: Path) -> list[str]:
