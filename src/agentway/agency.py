@@ -100,7 +100,7 @@ class CodeCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.byte_limit = byte_limit
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._entries: OrderedDict[str, CodeImage] = OrderedDict()
         self._total_bytes = 0
         self.hits = 0
@@ -167,8 +167,9 @@ class Behavior:
 
 
 def _bump_hop(state: StateRecord, ctx: HostContext) -> None:
-    if "hop" in state.values:
-        state.set("hop", state.get("hop") + 1)
+    values = state.values
+    if "hop" in values:
+        values["hop"] += 1
 
 
 def _noop(state: StateRecord, ctx: HostContext) -> None:
@@ -197,7 +198,7 @@ BUILTIN_BEHAVIORS: dict[str, Callable[[Iterable[FieldDescriptor]], Behavior]] = 
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentInstance:
     agent_id: bytes
     state: StateRecord
@@ -251,7 +252,7 @@ def itinerary_endpoints(state: StateRecord, protocol: str) -> list[Endpoint]:
     ``ITINERARY_TABLE_CHARS`` characters of their text; the oldest goes first.
     """
     global _itinerary_chars
-    key = (tuple(state.get("it")), protocol)
+    key = (tuple(state.values["it"]), protocol)
     stops = _itineraries.get(key)
     if stops is None:
         stops = tuple(parse_endpoint(entry, protocol) for entry in key[0])
@@ -445,18 +446,17 @@ class Agency:
             raise AdmissionError(wire.ERR_BAD_FRAME, "not an agent transfer")
         t0 = time.perf_counter_ns()
         try:
-            payload = wire.AgentTransferPayload.decode(frame.payload)
+            agent_id, digest, hop_index, state_bytes = wire.AgentTransferPayload.fields(frame.payload)
         except wire.WireError as exc:
             raise AdmissionError(wire.ERR_DECODE_FAILED, f"bad transfer payload: {exc}")
-        agent_id, state_bytes = payload.agent_id, payload.state
         try:
-            if frame.compressed:
+            if frame.flags & wire.FLAG_COMPRESSED:
                 state_bytes = wire.decompress_payload(state_bytes)
             kind_name = wire.peek_kind_name(state_bytes)
         except wire.WireError as exc:
             raise AdmissionError(wire.ERR_DECODE_FAILED, f"undecodable state: {exc}", agent_id)
-        image = self.lookup_code(kind_name)
-        if image is None or image.digest != payload.digest:
+        image = self.cache.lookup(kind_name)
+        if image is None or image.digest != digest:
             raise AdmissionError(
                 wire.ERR_CODE_MISSING,
                 f"no cached code for {kind_name!r}; push model does not fetch on demand",
@@ -475,13 +475,12 @@ class Agency:
         except wire.WireError as exc:
             raise AdmissionError(wire.ERR_DECODE_FAILED, str(exc), agent_id)
         return AgentInstance(
-            agent_id, state, behavior, payload.hop_index, image, time.perf_counter_ns() - t0,
-            len(state_bytes),
+            agent_id, state, behavior, hop_index, image, time.perf_counter_ns() - t0, len(state_bytes),
         )
 
     def run_hop(self, instance: AgentInstance) -> HopRecord:
         hop = HopRecord(instance.agent_id, instance.hop_index, "failed", decode_ns=instance.decode_ns)
-        ctx = self.context()
+        ctx = self._context
         try:
             itinerary = itinerary_endpoints(instance.state, self.bind.protocol)
             origin = itinerary[-1]
@@ -547,10 +546,10 @@ class Agency:
         if self.opts.compress:
             state_bytes = wire.compress_payload(state_bytes)
             flags |= wire.FLAG_COMPRESSED
-        payload = wire.AgentTransferPayload(
+        payload = wire.AgentTransferPayload.pack(
             instance.agent_id, instance.image.digest, instance.hop_index + 1, state_bytes
         )
-        frame = Frame(FrameKind.AGENT_TRANSFER, payload.encode(), flags)
+        frame = Frame(FrameKind.AGENT_TRANSFER, payload, flags)
         encode_ns = time.perf_counter_ns() - t0
         link = self.topology.link_between_endpoints(self.bind, dest) if self.topology else None
         receipt = self.transport.send_frame(dest, frame, self.opts, link=link)
@@ -617,7 +616,7 @@ class Agency:
             raise AgencyError('record needs an "it" string-array field')
         record.set("it", [ep.text for ep in itinerary])
         behavior = self._require_behavior(record.kind_name)
-        image = self.lookup_code(record.kind_name)
+        image = self.cache.lookup(record.kind_name)
         if image is None:
             raise AgencyError(f"no cached code for {record.kind_name!r}")
         agent_id = agent_id or os.urandom(16)

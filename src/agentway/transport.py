@@ -142,13 +142,14 @@ class StatsRegistry:
 
     def record(self, peer: tuple[str, int], link: Optional[Link], frame: Frame, frame_bytes: int) -> None:
         """The one place a sent frame is counted: per peer, and on its link if it has one."""
+        kind, payload_bytes = frame.kind, len(frame.payload)
         with self._lock:
             stats = self._by_peer.get(peer)
             if stats is None:
                 stats = self._by_peer[peer] = LinkStats()
-            stats.record(frame.kind, frame_bytes, len(frame.payload))
+            stats.record(kind, frame_bytes, payload_bytes)
             if link is not None:
-                link.stats.record(frame.kind, frame_bytes, len(frame.payload))
+                link.stats.record(kind, frame_bytes, payload_bytes)
 
     def for_peer(self, peer: tuple[str, int]) -> LinkStats:
         with self._lock:
@@ -166,7 +167,7 @@ class StatsRegistry:
             return out
 
 
-@dataclass
+@dataclass(slots=True)
 class Receipt:
     bytes_on_wire: int
     send_duration_s: float
@@ -177,6 +178,9 @@ class Receipt:
     @property
     def ok(self) -> bool:
         return self.reply.kind == FrameKind.ACK
+
+
+_ACK_BYTES = wire.ACK.encoded()  # the plain ACK has no payload, so its bytes say more than its CRC
 
 
 def _handle_raw(handler: Handler, data: bytes, source: tuple) -> bytes:
@@ -216,8 +220,7 @@ class _Transport:
             )
         reply_bytes, duration_s = self._exchange(endpoint, data, opts, link)
         self.stats.record(endpoint.key, link, frame, len(data))
-        # the plain ACK carries no payload, so its bytes say more than its CRC
-        reply = wire.ACK if reply_bytes == wire.ACK.encoded() else wire.decode_frame(reply_bytes)
+        reply = wire.ACK if reply_bytes == _ACK_BYTES else wire.decode_frame(reply_bytes)
         if reply.kind == FrameKind.ERROR:
             err = wire.ErrorPayload.decode(reply.payload)
             return Receipt(len(data), duration_s, reply, err.code, err.message)
@@ -279,16 +282,17 @@ class InProcNetwork:
             return _handle_raw(handler, data, source)
 
     def defer(self, fn: Callable[[], None]) -> None:
-        with self._lock:
-            self._tasks.append(fn)
+        self._tasks.append(fn)  # a deque's append and popleft are atomic: no lock
 
     def run(self) -> None:
-        """Drain deferred tasks (agent hops and the like) until idle."""
+        """Drain deferred tasks (agent hops and the like) until idle. Another
+        thread may drain the queue at the same time; each task runs once."""
+        popleft = self._tasks.popleft
         while True:
-            with self._lock:
-                if not self._tasks:
-                    return
-                task = self._tasks.popleft()
+            try:
+                task = popleft()
+            except IndexError:
+                return
             task()
 
 

@@ -502,10 +502,6 @@ class Frame:
         # one write of the instance dict, where a frozen __init__ sets each field apart
         self.__dict__.update(kind=kind, payload=payload, flags=flags)
 
-    @property
-    def compressed(self) -> bool:
-        return bool(self.flags & FLAG_COMPRESSED)
-
     def encoded(self) -> bytes:
         """``encode_frame(self)``, made on first use and kept when the payload is
         ``bytes``, which cannot change under it: a frame sent to many peers is
@@ -595,16 +591,26 @@ class AgentTransferPayload:
     def __init__(self, agent_id: bytes, digest: bytes, hop_index: int, state: bytes) -> None:
         self.__dict__.update(agent_id=agent_id, digest=digest, hop_index=hop_index, state=state)
 
-    def encode(self) -> bytes:
-        if len(self.agent_id) != AGENT_ID_LEN or len(self.digest) != DIGEST_LEN:
+    @classmethod
+    def pack(cls, agent_id: bytes, digest: bytes, hop_index: int, state: bytes) -> bytes:
+        """The payload's bytes, with no payload object: the hop path's encoder."""
+        if len(agent_id) != AGENT_ID_LEN or len(digest) != DIGEST_LEN:
             raise WireError("agent_id must be 16 bytes, digest 32 bytes")
-        return self.PREFIX.pack(self.agent_id, self.digest, self.hop_index) + self.state
+        return cls.PREFIX.pack(agent_id, digest, hop_index) + state
+
+    @classmethod
+    def fields(cls, data: bytes) -> tuple[bytes, bytes, int, bytes]:
+        """(agent_id, digest, hop_index, state), with no payload object: the hop path's decoder."""
+        if len(data) < cls.HEADER_LEN:
+            _each(data, 0, (_agent_id, _digest, _u16))  # raises its TruncatedError
+        return (*cls.PREFIX.unpack_from(data), data[cls.HEADER_LEN :])
+
+    def encode(self) -> bytes:
+        return self.pack(self.agent_id, self.digest, self.hop_index, self.state)
 
     @classmethod
     def decode(cls, data: bytes) -> "AgentTransferPayload":
-        if len(data) < cls.HEADER_LEN:
-            _each(data, 0, (_agent_id, _digest, _u16))  # raises its TruncatedError
-        return cls(*cls.PREFIX.unpack_from(data), data[cls.HEADER_LEN :])
+        return cls(*cls.fields(data))
 
 
 @dataclass(frozen=True)

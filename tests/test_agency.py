@@ -246,6 +246,28 @@ class TestAdmission:
         finally:
             cluster.stop()
 
+    def test_a_cut_transfer_payload_is_nack_2_naming_the_field_cut_short(self):
+        cluster, record, img = make_cluster()
+        try:
+            target, source = cluster.endpoints[1].key, cluster.endpoints[0].key
+            whole = transfer_frame(record, img).payload
+            for cut, message in (
+                (0, "need 16 bytes at offset 0, have 0"),
+                (16, "need 32 bytes at offset 16, have 0"),
+                (49, "need 2 bytes at offset 48, have 1"),
+            ):
+                reply = cluster.agency(1).handle_frame(Frame(FrameKind.AGENT_TRANSFER, whole[:cut]), source)
+                nack = wire.ErrorPayload.decode(reply.payload)
+                assert (reply.kind, nack.code, nack.agent_id) == (FrameKind.ERROR, wire.ERR_DECODE_FAILED,
+                                                                  b"\x00" * 16)
+                assert nack.message == f"bad transfer payload: {message}"
+                data = wire.encode_frame(Frame(FrameKind.AGENT_TRANSFER, whole[:cut]))
+                assert wire.decode_frame(cluster.network.deliver(target, data, source)) == reply
+            cluster.network.run()
+            assert not cluster.agency(1).hops and not cluster.agency(1).failures
+        finally:
+            cluster.stop()
+
     def test_schema_mismatch_is_nack_4(self):
         cluster, record, img = make_cluster()
         try:

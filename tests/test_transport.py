@@ -204,6 +204,80 @@ class TestModeledTransport:
         assert stats.bytes_sent == 0 and stats.frames_sent == 0
 
 
+class TestTaskQueue:
+    """``InProcNetwork.defer`` and ``run`` share a deque and take no lock."""
+
+    def test_tasks_deferred_from_eight_threads_each_run_once(self):
+        net, ran, per_thread = InProcNetwork(), [], 2000
+
+        def deferrer(n):
+            for i in range(per_thread):
+                net.defer(lambda key=(n, i): ran.append(key))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=deferrer, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30.0
+            while len(ran) < 8 * per_thread and time.monotonic() < deadline:
+                net.run()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert collections.Counter(ran) == {(n, i): 1 for n in range(8) for i in range(per_thread)}
+        assert not net._tasks  # the last run() returned on an empty queue, and nothing came after
+
+    def test_run_returns_only_once_the_queue_is_empty(self):
+        net, ran = InProcNetwork(), []
+        for i in range(100):
+            net.defer(lambda i=i: ran.append(i))
+        net.run()
+        assert ran == list(range(100)) and not net._tasks
+        net.run()  # an empty queue: nothing to run
+        assert len(ran) == 100
+
+    def test_a_task_deferred_by_a_running_task_runs_in_the_same_run(self):
+        net, ran = InProcNetwork(), []
+
+        def first():
+            ran.append("first")
+            net.defer(lambda: ran.append("second"))
+
+        net.defer(first)
+        net.run()
+        assert ran == ["first", "second"] and not net._tasks
+
+    def test_threads_draining_at_once_run_each_task_once(self):
+        net, ran, errors, fed = InProcNetwork(), [], [], threading.Event()
+
+        def drain():
+            try:
+                while not fed.is_set() or net._tasks:
+                    net.run()
+            except Exception as exc:  # an IndexError from a lost race; reported below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drain) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for i in range(20_000):  # the drainers empty the queue again and again
+                net.defer(lambda i=i: ran.append(i))
+            fed.set()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == [] and sorted(ran) == list(range(20_000)) and not net._tasks
+
+
 def replying(raw: bytes):
     """A modeled transport and the endpoint of a handler that answers every frame with ``raw``."""
     t = ModeledTransport(InProcNetwork(), Endpoint("10.0.0.1", 1, "tcp"))

@@ -623,6 +623,24 @@ class TestPayloadCodecs:
                 wire.AgentTransferPayload.decode(data[:n])
             assert str(caught.value) == f"need {need} bytes at offset {at}, have {n - at}"
 
+    def test_pack_and_fields_agree_with_the_payload_object(self):
+        rng = random.Random(25)
+        for _ in range(500):
+            agent_id, digest = rng.randbytes(16), rng.randbytes(32)
+            hop_index, state = rng.randrange(0x10000), rng.randbytes(rng.randrange(300))
+            data = wire.AgentTransferPayload.pack(agent_id, digest, hop_index, state)
+            assert data == wire.AgentTransferPayload(agent_id, digest, hop_index, state).encode()
+            decoded = wire.AgentTransferPayload.decode(data)
+            assert wire.AgentTransferPayload.fields(data) == (
+                decoded.agent_id, decoded.digest, decoded.hop_index, decoded.state
+            ) == (agent_id, digest, hop_index, state)
+
+    @pytest.mark.parametrize("agent_id, digest", [(b"\x02" * 15, b"\x03" * 32), (b"\x02" * 16, b"\x03" * 31)],
+                             ids=["agent_id", "digest"])
+    def test_pack_refuses_an_id_or_digest_of_the_wrong_length(self, agent_id, digest):
+        with pytest.raises(WireError, match="^agent_id must be 16 bytes, digest 32 bytes$"):
+            wire.AgentTransferPayload.pack(agent_id, digest, 0, b"state")
+
     def test_a_transfer_payload_of_its_prefix_alone_has_empty_state(self):
         p = wire.AgentTransferPayload(b"\x02" * 16, b"\x03" * 32, 0xFFFF, b"")
         assert len(p.encode()) == wire.AgentTransferPayload.HEADER_LEN == 50
