@@ -240,30 +240,30 @@ def _bound(table: dict, tally: int = 0, weight: Callable[[object], int] = lambda
     return tally
 
 
-_itineraries: dict[tuple[tuple[str, ...], str], tuple[Endpoint, ...]] = {}
+_itineraries: dict[tuple[str, ...], tuple[Endpoint, ...]] = {}
 _itinerary_chars = 0  # characters of itinerary text in the table's keys
 _itineraries_lock = threading.Lock()
 
 
-def itinerary_endpoints(state: StateRecord, protocol: str) -> list[Endpoint]:
+def itinerary_endpoints(state: StateRecord) -> list[Endpoint]:
     """The state's itinerary as endpoints, each itinerary parsed once.
 
     Peers choose itineraries, so the table of parsed ones holds at most
     ``ITINERARY_TABLE_CHARS`` characters of their text; the oldest goes first.
     """
     global _itinerary_chars
-    key = (tuple(state.values["it"]), protocol)
+    key = tuple(state.values["it"])
     stops = _itineraries.get(key)
     if stops is None:
-        stops = tuple(parse_endpoint(entry, protocol) for entry in key[0])
+        stops = tuple(map(parse_endpoint, key))
         with _itineraries_lock:
             if key not in _itineraries:
                 _itineraries[key] = stops
-                _itinerary_chars += sum(map(len, key[0]))
+                _itinerary_chars += sum(map(len, key))
             while _itinerary_chars > ITINERARY_TABLE_CHARS:
                 oldest = next(iter(_itineraries))
                 del _itineraries[oldest]
-                _itinerary_chars -= sum(map(len, oldest[0]))
+                _itinerary_chars -= sum(map(len, oldest))
     return list(stops)
 
 
@@ -277,8 +277,7 @@ _PAYLOADS = {  # each kind an agency takes besides a transfer: its payload codec
 class Agency:
     """One host's runtime: listener, code cache, behavior registry, completions.
 
-    It speaks its bind endpoint's protocol: it listens on it and reads every
-    itinerary stop and relay target with it. ``opts`` sets how frames are sent.
+    It listens on its bind endpoint; ``opts`` sets how frames are sent.
 
     ``hops`` is the hop log: one ``HopRecord`` per hop run here and per launch,
     the newest ``HOP_LOG_RECORDS`` of them. Hops run on other threads in real-socket
@@ -324,7 +323,7 @@ class Agency:
     def start(self) -> None:
         self._listener = self.transport.serve(self.bind, self.handle_frame)
         if self.bind.port == 0:  # itineraries must name the port the system picked
-            self.bind = Endpoint(self.bind.address, self._listener.endpoint_port, self.bind.protocol)
+            self.bind = Endpoint(self.bind.address, self._listener.endpoint_port)
 
     def stop(self) -> None:
         """Stop listening, then close the transport. Over sockets that waits for the replies
@@ -392,7 +391,7 @@ class Agency:
         for target in req.targets:
             ok, code = False, wire.ERR_BAD_FRAME  # a target that is no IP literal, or this relay
             try:
-                endpoint = Endpoint(target.address, target.port, self.bind.protocol)
+                endpoint = Endpoint(target.address, target.port)
                 if not self._is_self(endpoint):  # this relay already holds the code
                     code = wire.ERR_INTERNAL
                     link = self.topology.links.get(target.link_id) if self.topology else None
@@ -482,7 +481,7 @@ class Agency:
         hop = HopRecord(instance.agent_id, instance.hop_index, "failed", decode_ns=instance.decode_ns)
         ctx = self._context
         try:
-            itinerary = itinerary_endpoints(instance.state, self.bind.protocol)
+            itinerary = itinerary_endpoints(instance.state)
             origin = itinerary[-1]
         except Exception as exc:  # the origin is the itinerary's last stop: it cannot be told
             return self._fail(hop, f"bad itinerary: {exc!r}")

@@ -209,13 +209,12 @@ def _make_pingpong_pair(config: RunConfig):
     template = config.state if config.state is not None else optimised_record()
     if config.mode == "modeled":
         network = InProcNetwork()
-        a_ep = Endpoint("10.0.0.1", 7001, config.opts.protocol)
-        b_ep = Endpoint("10.0.0.2", 7002, config.opts.protocol)
+        a_ep = Endpoint("10.0.0.1", 7001)
+        b_ep = Endpoint("10.0.0.2", 7002)
         t_a = ModeledTransport(network, a_ep, link_model=config.link)
         t_b = ModeledTransport(network, b_ep, link_model=config.link)
     else:
-        a_ep = Endpoint("127.0.0.1", 0, config.opts.protocol)
-        b_ep = Endpoint("127.0.0.1", 0, config.opts.protocol)
+        a_ep = b_ep = Endpoint("127.0.0.1", 0)
         t_a = SocketTransport()
         t_b = SocketTransport()
     agency_a = Agency("host_a", a_ep, t_a, config.opts)

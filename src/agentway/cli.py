@@ -8,7 +8,7 @@ log level.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import json
 import logging
 import os
@@ -59,7 +59,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", required=True)
     p.add_argument("--mode", choices=("flat", "hierarchical"), default="hierarchical")
     p.add_argument("--itinerary", help="comma-separated host:port list; default: all hosts")
-    # the topology's endpoints choose TCP or UDP; code is never compressed
+    # code is never compressed
     p.add_argument("--no-delay", action="store_true", default=None, dest="no_delay")
 
     p = sub.add_parser("launch", help="launch an agent along an itinerary")
@@ -93,7 +93,6 @@ def build_parser() -> _Parser:
 
 
 def _transport_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--protocol", choices=("tcp", "udp"))
     p.add_argument("--compress", action="store_true", default=None)
     p.add_argument("--no-delay", action="store_true", default=None, dest="no_delay")
 
@@ -105,10 +104,10 @@ def _load_json(path: str) -> dict:
 
 def _opts_from(doc: dict, args: argparse.Namespace) -> TransportOpts:
     merged = dict(doc.get("transport", {}))
-    unknown = sorted(merged.keys() - {f.name for f in dataclasses.fields(TransportOpts)})
+    unknown = sorted(merged.keys() - inspect.signature(TransportOpts).parameters.keys())
     if unknown:
         raise UsageError(f'unknown "transport" key(s) in config: {", ".join(unknown)}')
-    for key in ("protocol", "compress", "no_delay"):
+    for key in ("compress", "no_delay"):
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -117,7 +116,7 @@ def _opts_from(doc: dict, args: argparse.Namespace) -> TransportOpts:
 
 def _build_agency(config: dict, args: argparse.Namespace) -> Agency:
     opts = _opts_from(config, args)
-    bind = parse_endpoint(config["bind"], opts.protocol)
+    bind = parse_endpoint(config["bind"])
     cache_limits = {k: config[k] for k in ("cache_capacity", "cache_byte_limit") if k in config}
     agency = Agency(
         host_name=config.get("host_name", str(bind)),
@@ -156,7 +155,7 @@ def cmd_push(args) -> int:
     with open(args.code, "rb") as fh:
         image = CodeImage.from_code(args.kind, fh.read())
     if args.itinerary:
-        itinerary = resolve_itinerary(args.itinerary.split(","), protocol=topology.protocol)
+        itinerary = resolve_itinerary(args.itinerary.split(","))
     else:
         itinerary = [h for hosts in topology.segments.values() for h in hosts]
     opts = _opts_from({}, args)
@@ -177,7 +176,7 @@ def cmd_launch(args) -> int:
     agency = _build_agency(config, args)
     agency.start()
     try:
-        itinerary = resolve_itinerary(args.itinerary.split(","), protocol=agency.bind.protocol)
+        itinerary = resolve_itinerary(args.itinerary.split(","))
         if itinerary[-1].key != agency.bind.key:
             itinerary = itinerary + [agency.bind]
         if args.code:

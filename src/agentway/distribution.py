@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from . import wire
 from .agency import CodeImage
-from .transport import Endpoint, Link, LinkModel, LinkStats, TransportOpts, parse_endpoint
+from .transport import Endpoint, Link, LinkModel, LinkStats, TransportOpts, parse_endpoint, require_tcp
 from .wire import Frame, FrameKind
 
 
@@ -38,7 +38,6 @@ class Topology:
     manager: Endpoint
     mdms: dict[str, Endpoint] = field(default_factory=dict)
     links: dict[str, Link] = field(default_factory=dict)
-    protocol: str = "tcp"
 
     def __post_init__(self) -> None:
         seen: dict[tuple[str, int], str] = {}
@@ -94,14 +93,11 @@ class Topology:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Topology":
-        protocol = doc.get("protocol", "tcp")
-        segments = {
-            seg: [parse_endpoint(h, protocol) for h in hosts]
-            for seg, hosts in doc["segments"].items()
-        }
-        manager = parse_endpoint(doc["manager"], protocol)
-        mdms = {seg: parse_endpoint(h, protocol) for seg, h in doc.get("mdms", {}).items()}
-        topo = cls(segments=segments, manager=manager, mdms=mdms, protocol=protocol)
+        require_tcp(doc.get("protocol", "tcp"))
+        segments = {seg: list(map(parse_endpoint, hosts)) for seg, hosts in doc["segments"].items()}
+        manager = parse_endpoint(doc["manager"])
+        mdms = {seg: parse_endpoint(h) for seg, h in doc.get("mdms", {}).items()}
+        topo = cls(segments=segments, manager=manager, mdms=mdms)
         for link_id, model in doc.get("links", {}).items():
             topo.link(link_id).model = LinkModel(
                 bandwidth_bits_per_s=model["bandwidth_bps"],
@@ -158,7 +154,6 @@ def resolve_itinerary(
     names: list[str],
     resolver: Optional[Callable[[str], str]] = None,
     default_port: int = 0,
-    protocol: str = "tcp",
 ) -> list[Endpoint]:
     """Turn host names into address endpoints, exactly once, at launch time.
 
@@ -183,7 +178,7 @@ def resolve_itinerary(
                 raise DistributionError(f"cannot resolve {host!r}: {exc}") from exc
             if address is None or not is_address_literal(address):
                 raise DistributionError(f"resolver returned no address for {host!r}")
-        out.append(Endpoint(address, port, protocol))
+        out.append(Endpoint(address, port))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Frame movement between agencies: real TCP/UDP sockets or a modeled link.
+"""Frame movement between agencies: real TCP sockets or a modeled link.
 
 Both transports speak the same framing; the modeled transport replaces
 socket I/O with computed delays so timing results are machine-independent
@@ -17,15 +17,13 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 from . import wire
 from .wire import MAX_FRAME_BYTES, Frame, FrameKind
 
 log = logging.getLogger(__name__)
-
-UDP_MAX_PAYLOAD = 65507
 
 Handler = Callable[[Frame, tuple], Frame]
 
@@ -46,7 +44,6 @@ class BusyError(TransportError):
 class Endpoint:
     address: str
     port: int
-    protocol: str = "tcp"
     key: tuple[str, int] = field(init=False, repr=False, compare=False)  # (address, port), made once
     text: str = field(init=False, repr=False, compare=False)  # "address:port", made once
 
@@ -58,8 +55,6 @@ class Endpoint:
             raise ValueError(f"endpoint address must be an IP literal: {self.address!r}") from exc
         if not 0 <= self.port <= 0xFFFF:
             raise ValueError(f"port out of range: {self.port}")
-        if self.protocol not in ("tcp", "udp"):
-            raise ValueError(f"protocol must be 'tcp' or 'udp': {self.protocol!r}")
         object.__setattr__(self, "key", (self.address, self.port))
         object.__setattr__(self, "text", f"{self.address}:{self.port}")
 
@@ -67,27 +62,32 @@ class Endpoint:
         return self.text
 
 
-def parse_endpoint(text: str, protocol: str = "tcp") -> Endpoint:
+def parse_endpoint(text: str) -> Endpoint:
     host, sep, port = text.rpartition(":")
     if not sep:
         raise ValueError(f"endpoint must look like 'address:port': {text!r}")
-    return Endpoint(host, int(port), protocol)
+    return Endpoint(host, int(port))
+
+
+def require_tcp(protocol: str) -> None:
+    """Refuse a config's ``"protocol"`` unless it names TCP, the one socket transport."""
+    if protocol != "tcp":
+        raise ValueError(f"protocol must be 'tcp', not {protocol!r}: UDP was removed")
 
 
 @dataclass
 class TransportOpts:
-    protocol: str = "tcp"  # for parsing addresses (CLI, bench); an Endpoint carries its own
-    no_delay: bool = False  # TCP only
+    protocol: InitVar[str] = "tcp"  # accepted for older configs and callers; only "tcp" passes
+    no_delay: bool = False
     compress: bool = False
-    ack_timeout_s: float = 0.5  # UDP: one retransmission after this, then error
-    connect_timeout_s: float = 5.0  # TCP: also bounds each wait for the peer to take or send bytes
+    connect_timeout_s: float = 5.0  # also bounds each wait for the peer to take or send bytes
 
-    def __post_init__(self) -> None:
-        for name in ("ack_timeout_s", "connect_timeout_s"):  # a socket holds up to TIMEOUT_MAX s
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0 < value <= threading.TIMEOUT_MAX):
-                raise ValueError(f"{name} must be a positive finite number of seconds, at most "
-                                 f"{threading.TIMEOUT_MAX:g}, not {value!r}")
+    def __post_init__(self, protocol: str) -> None:
+        require_tcp(protocol)
+        value = self.connect_timeout_s  # a socket holds up to TIMEOUT_MAX s
+        if not (isinstance(value, (int, float)) and 0 < value <= threading.TIMEOUT_MAX):
+            raise ValueError(f"connect_timeout_s must be a positive finite number of seconds, at most "
+                             f"{threading.TIMEOUT_MAX:g}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -209,15 +209,12 @@ class _Transport:
         opts: Optional[TransportOpts] = None,
         link: Optional[Link] = None,
     ) -> Receipt:
-        """Encode the frame once for all its sends, refuse an oversize frame or
-        datagram before any side effect, exchange, count the frame once, and
-        turn the reply into a Receipt."""
+        """Encode the frame once for all its sends, refuse an oversize frame
+        before any side effect, exchange, count the frame once, and turn the
+        reply into a Receipt."""
         data = frame.encoded()
-        limit = UDP_MAX_PAYLOAD if endpoint.protocol == "udp" else MAX_FRAME_BYTES
-        if len(data) > limit:
-            raise OversizeError(
-                f"frame of {len(data)} bytes exceeds the {endpoint.protocol} limit of {limit}"
-            )
+        if len(data) > MAX_FRAME_BYTES:
+            raise OversizeError(f"frame of {len(data)} bytes exceeds the limit of {MAX_FRAME_BYTES}")
         reply_bytes, duration_s = self._exchange(endpoint, data, opts, link)
         self.stats.record(endpoint.key, link, frame, len(data))
         reply = wire.ACK if reply_bytes == _ACK_BYTES else wire.decode_frame(reply_bytes)
@@ -423,8 +420,8 @@ def _still_open(sock: socket.socket) -> bool:
 class _HopThreads:
     """The threads that run a ``SocketTransport``'s deferred tasks (admitted hops).
 
-    ``HOP_WORKERS`` threads wait for tasks until ``close``; a task deferred on a TCP
-    connection's thread runs there instead, counted among them, if a parked follower
+    ``HOP_WORKERS`` threads wait for tasks until ``close``; a task deferred on a listener's
+    connection thread runs there instead, counted among them, if a parked follower
     takes the connection over (``_TcpListener.claim_follower``). A task that finds every
     thread busy starts one more, up to ``MAX_HOP_THREADS``. Unless a busy one comes
     free within a few of the interpreter's switch intervals, that thread takes tasks
@@ -516,33 +513,7 @@ class _HopThreads:
                         busy, CLOSE_WAIT_S)
 
 
-class _SocketListener:
-    """A bound socket served by one thread; ``close`` wakes that thread and
-    waits for it, and the thread closes what it served on its way out. ``close``
-    stops reading only, so a handler still running sends its reply; it may wait
-    up to ``CONN_TIMEOUT_S`` for a reply that its peer does not read."""
-
-    def __init__(self, sock: socket.socket, handler: Handler) -> None:
-        self._sock = sock
-        self._handler = handler
-        self._closed = threading.Event()
-        self.endpoint_port = sock.getsockname()[1]
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._thread.start()
-
-    def close(self) -> None:
-        self._closed.set()
-        try:
-            # closing alone leaves accept/recvfrom blocked; shutdown wakes them.
-            # An unconnected UDP socket raises ENOTCONN here but is woken all the same.
-            self._sock.shutdown(socket.SHUT_RD)
-        except OSError:
-            pass
-        if threading.current_thread() is not self._thread:  # a handler may close its own listener
-            self._thread.join()
-
-
-class _TcpListener(_SocketListener):
+class _TcpListener:
     """One thread accepts connections, and each accepted connection is served on
     a thread of its own, which reads a frame, answers it and reads the next.
 
@@ -556,16 +527,23 @@ class _TcpListener(_SocketListener):
     call: a peer that moves no byte for that long, idle, stalled mid-frame or not
     reading its reply, is closed, so silent peers cannot keep the table full.
     A deferred hop runs on the thread that read its frame if a parked follower
-    takes the connection over (``claim_follower``). ``close`` stops each
-    connection's reading and waits for its thread, which answers the frame in
-    hand only, and for the parked followers.
+    takes the connection over (``claim_follower``). ``close`` stops the accepting
+    and each connection's reading, and waits for the accept thread, for each
+    connection's thread, which answers the frame in hand only (it may wait up to
+    ``CONN_TIMEOUT_S`` for a peer that does not read its reply), and for the
+    parked followers. Each thread closes what it served on its way out.
     """
 
     def __init__(self, sock: socket.socket, handler: Handler) -> None:
+        self._sock = sock
+        self._handler = handler
+        self._closed = threading.Event()
         self._lock = threading.Lock()
         self._conns: dict[socket.socket, threading.Thread] = {}  # each open connection's thread
         self._parked: Optional[list[tuple[threading.Thread, queue.SimpleQueue]]] = None  # made on first need
-        super().__init__(sock, handler)
+        self.endpoint_port = sock.getsockname()[1]
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+        self._thread.start()
 
     @property
     def open_connections(self) -> int:
@@ -643,10 +621,12 @@ class _TcpListener(_SocketListener):
                 self._parked.append((threading.current_thread(), inbox))
 
     def close(self) -> None:
-        with self._lock:
+        with self._lock:  # the accept thread admits no connection after it
             self._closed.set()
-            threads = list(self._conns.values())
-            for sock in self._conns:  # each thread closes its own socket, after it leaves the table
+            threads = [self._thread, *self._conns.values()]
+            # closing alone leaves accept and recv blocked; shutdown wakes them, and each thread
+            # closes its own socket, a connection's after it leaves the table
+            for sock in (self._sock, *self._conns):
                 try:
                     sock.shutdown(socket.SHUT_RD)
                 except OSError:
@@ -654,52 +634,15 @@ class _TcpListener(_SocketListener):
             parked, self._parked = self._parked or [], []
         for _, inbox in parked:
             inbox.put(None)
-        super().close()
         for thread in threads + [thread for thread, _ in parked]:
             if thread is not threading.current_thread():  # a handler may close its own listener
                 thread.join()
 
 
-# Per address family, the socket option with which a UDP listener receives, with each
-# datagram, the address it arrived on (IP_PKTINFO is 8 on Linux; not every version of
-# the socket module names it).
-_PKTINFO = {
-    socket.AF_INET: (socket.IPPROTO_IP, getattr(socket, "IP_PKTINFO", 8)),
-    socket.AF_INET6: (socket.IPPROTO_IPV6, socket.IPV6_RECVPKTINFO),
-}
-
-
-def _reply_source(level: int, kind: int, info: bytes) -> tuple[int, int, bytes]:
-    """A datagram's packet info, to send the reply from the address it arrived on: a
-    listener bound to a wildcard address would otherwise answer from the address the
-    routing picks, and a connected sender drops that. The interface index is zeroed,
-    so the routing still picks the interface."""
-    if level == socket.IPPROTO_IP:  # in_pktinfo: interface, local address, header destination
-        return level, kind, bytes(4) + info[4:]
-    return level, kind, info[:16] + bytes(4)  # in6_pktinfo: address, interface
-
-
-class _UdpListener(_SocketListener):
-    def _loop(self) -> None:
-        with self._sock:
-            while True:
-                try:  # with room for one in6_pktinfo, the larger of the two records
-                    data, info, _, addr = self._sock.recvmsg(65535, socket.CMSG_SPACE(20))
-                except OSError:
-                    return
-                if self._closed.is_set():  # woken by close(): addr is None, nobody to answer
-                    return
-                try:
-                    reply = _handle_raw(self._handler, data, addr)
-                    self._sock.sendmsg([reply], [_reply_source(*item) for item in info], 0, addr)
-                except OSError as exc:  # the sender retransmits or reports no ack
-                    log.warning("listener on port %d: reply to %s not sent: %s", self.endpoint_port, addr, exc)
-
-
 class SocketTransport(_Transport):
-    """Frames over real sockets, one ACK/ERROR back for each.
+    """Frames over TCP connections, one ACK/ERROR back for each.
 
-    TCP connections are reused: a connection carries one frame at a time, its
+    Connections are reused: a connection carries one frame at a time, its
     reply read (in one receive once it has arrived) before the connection joins
     the transport's one idle list, which holds at most ``MAX_IDLE`` over all
     peers; one put past that closes the connection idle longest, and one with
@@ -713,11 +656,9 @@ class SocketTransport(_Transport):
     its idle entry keeps that timeout, which is set again only for a send
     whose ``connect_timeout_s`` differs. A frame is never written
     twice: a failure after the write is a ``TransportError``, so a hop runs at
-    most once. UDP sends one datagram per frame, with one retransmission.
-    ``serve`` answers a TCP connection on a thread of its own (``_TcpListener``),
-    a UDP datagram on the listener's one thread. ``defer`` runs a hop on the TCP
-    connection thread that admitted it, after the reply, or else on
-    ``_HopThreads``. ``close`` is final.
+    most once. ``serve`` answers each connection on a thread of its own
+    (``_TcpListener``). ``defer`` runs a hop on the connection thread that
+    admitted it, after the reply, or else on ``_HopThreads``. ``close`` is final.
     """
 
     def __init__(self) -> None:
@@ -741,15 +682,6 @@ class SocketTransport(_Transport):
             sock.close()
         if hops is not None:  # outside the lock, which a hop ending its send meanwhile takes
             hops.close()
-
-    def _exchange(
-        self, endpoint: Endpoint, data: bytes, opts: Optional[TransportOpts], link: Optional[Link]
-    ) -> tuple[bytes, float]:
-        opts = opts or TransportOpts()
-        exchange = self._send_udp if endpoint.protocol == "udp" else self._send_tcp
-        start = time.perf_counter()
-        reply_bytes = exchange(endpoint, data, opts)
-        return reply_bytes, time.perf_counter() - start
 
     def _take_idle(self, key: tuple) -> tuple[Optional[socket.socket], float]:
         """The newest idle connection for ``key`` that is fit for use and its timeout, or (None, 0)."""
@@ -782,7 +714,11 @@ class SocketTransport(_Transport):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
-    def _send_tcp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
+    def _exchange(
+        self, endpoint: Endpoint, data: bytes, opts: Optional[TransportOpts], link: Optional[Link]
+    ) -> tuple[bytes, float]:
+        opts = opts or TransportOpts()
+        start = time.perf_counter()
         key, timeout_s = (endpoint.key, opts.no_delay), opts.connect_timeout_s
         sock, pooled_timeout_s = self._take_idle(key)
         sock = sock or self._connect(endpoint, opts)
@@ -803,42 +739,21 @@ class SocketTransport(_Transport):
             sock.close()
         else:
             self._put_idle(key, sock, timeout_s)
-        return reply
+        return reply, time.perf_counter() - start
 
-    def _send_udp(self, endpoint: Endpoint, data: bytes, opts: TransportOpts) -> bytes:
-        family = socket.AF_INET6 if ":" in endpoint.address else socket.AF_INET
-        with socket.socket(family, socket.SOCK_DGRAM) as sock:
-            sock.settimeout(opts.ack_timeout_s)
-            try:
-                sock.connect(endpoint.key)  # the kernel then drops a datagram from any other source
-                for _ in range(2):  # one retransmission, then error
-                    try:
-                        sock.send(data)
-                        return sock.recv(65535)
-                    except socket.timeout:
-                        continue
-            except OSError as exc:  # a refusal (ICMP port unreachable) among them
-                raise TransportError(f"udp send to {endpoint} failed: {exc}") from exc
-        raise TransportError(f"no ack from {endpoint} after retransmission")
-
-    def serve(self, bind: Endpoint, handler: Handler):
+    def serve(self, bind: Endpoint, handler: Handler) -> _TcpListener:
         family = socket.AF_INET6 if ":" in bind.address else socket.AF_INET
-        udp = bind.protocol == "udp"
         sock = None
         try:
-            sock = socket.socket(family, socket.SOCK_DGRAM if udp else socket.SOCK_STREAM)
-            if udp:
-                sock.setsockopt(*_PKTINFO[family], 1)
-            else:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock = socket.socket(family, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             sock.bind(bind.key)
-            if not udp:
-                sock.listen(32)
+            sock.listen(32)
         except OSError as exc:
             if sock is not None:
                 sock.close()
             raise TransportError(f"cannot bind {bind}: {exc}") from exc
-        return _UdpListener(sock, handler) if udp else _TcpListener(sock, handler)
+        return _TcpListener(sock, handler)
 
     def defer(self, fn: Callable[[], None]) -> None:
         with self._lock:  # close() takes the threads under it, so no task lands behind its Nones

@@ -76,7 +76,7 @@ class Cluster:
                  subnet: str = "10.0.0", port: int = 9000):
         self.network = InProcNetwork()
         self.opts = opts or TransportOpts()
-        self.endpoints = [Endpoint(f"{subnet}.{i + 1}", port, self.opts.protocol) for i in range(n)]
+        self.endpoints = [Endpoint(f"{subnet}.{i + 1}", port) for i in range(n)]
         self.agencies: dict[tuple, Agency] = {}
         for i, ep in enumerate(self.endpoints):
             transport = ModeledTransport(self.network, ep)

@@ -81,9 +81,9 @@ def test_01_state_only_migration():
 @criterion(2, "tree multicast uses the trunk link once")
 @pytest.mark.parametrize("n", [2, 8, 32])
 def test_02_tree_multicast_saving(n):
-    manager = Endpoint("10.1.0.1", 9000, "tcp")
-    mdm = Endpoint("10.2.0.1", 9000, "tcp")
-    remote_hosts = [Endpoint(f"10.2.0.{i + 2}", 9000, "tcp") for i in range(n)]
+    manager = Endpoint("10.1.0.1", 9000)
+    mdm = Endpoint("10.2.0.1", 9000)
+    remote_hosts = [Endpoint(f"10.2.0.{i + 2}", 9000) for i in range(n)]
     image = CodeImage.from_code("Tourist", b"\x42" * 2048)
     code_payload_bytes = len(
         wire.CodePushPayload(image.kind_name, image.digest, image.code).encode()

@@ -798,34 +798,34 @@ class TestHops:
 
 
 class TestItineraryTable:
-    def test_each_itinerary_is_parsed_once_per_protocol(self, monkeypatch):
+    def test_each_itinerary_is_parsed_once(self, monkeypatch):
         parsed = []
         parse = agency_module.parse_endpoint
-        monkeypatch.setattr(agency_module, "parse_endpoint",
-                            lambda text, protocol: parsed.append(text) or parse(text, protocol))
+        monkeypatch.setattr(agency_module, "parse_endpoint", lambda text: parsed.append(text) or parse(text))
         stops = ["10.99.0.1:1", "10.99.0.2:2"]
         state = StateRecord("K", "", [FieldDescriptor("it", TypeTag.STRING_ARRAY)], {"it": stops})
-        first = agency_module.itinerary_endpoints(state, "udp")
-        again = agency_module.itinerary_endpoints(state, "udp")
-        assert first == again == [Endpoint("10.99.0.1", 1, "udp"), Endpoint("10.99.0.2", 2, "udp")]
+        first = agency_module.itinerary_endpoints(state)
+        again = agency_module.itinerary_endpoints(state)
+        assert first == again == [Endpoint("10.99.0.1", 1), Endpoint("10.99.0.2", 2)]
         assert parsed == stops
-        assert agency_module.itinerary_endpoints(state, "tcp")[0].protocol == "tcp"
-        assert parsed == stops + stops
+        state.set("it", stops[::-1])  # the same stops in another order are another itinerary
+        assert agency_module.itinerary_endpoints(state) == first[::-1]
+        assert parsed == stops + stops[::-1]
 
     def test_a_bad_stop_is_refused_every_time_and_not_kept(self):
         state = StateRecord("K", "", [FieldDescriptor("it", TypeTag.STRING_ARRAY)],
                             {"it": ["10.99.0.1:1", "no-port"]})
         for _ in range(2):
             with pytest.raises(ValueError, match="address:port"):
-                agency_module.itinerary_endpoints(state, "tcp")
+                agency_module.itinerary_endpoints(state)
 
     def test_the_table_holds_at_most_its_text_cap(self):
         state = StateRecord("K", "", [FieldDescriptor("it", TypeTag.STRING_ARRAY)])
         for i in range(10_000):
             state.set("it", [f"10.{i >> 8}.{i & 0xFF}.7:{i}", "10.0.0.1:9000"])
-            assert agency_module.itinerary_endpoints(state, "tcp")[0].port == i
+            assert agency_module.itinerary_endpoints(state)[0].port == i
             assert agency_module._itinerary_chars <= agency_module.ITINERARY_TABLE_CHARS
-        held = sum(len(stop) for stops, _ in agency_module._itineraries for stop in stops)
+        held = sum(len(stop) for stops in agency_module._itineraries for stop in stops)
         assert held == agency_module._itinerary_chars
         assert len(agency_module._itineraries) < 10_000
 
@@ -840,7 +840,7 @@ class TestItineraryTable:
                     fields = [FieldDescriptor("it", TypeTag.STRING_ARRAY)]
                     image = wire.encode_state(StateRecord("K", "", fields, {"it": stops}))
                     state = wire.decode_state(image, fields)
-                    assert agency_module.itinerary_endpoints(state, "tcp")[0].port == i % 7
+                    assert agency_module.itinerary_endpoints(state)[0].port == i % 7
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -856,7 +856,7 @@ class TestItineraryTable:
         finally:
             sys.setswitchinterval(switch)
         assert errors == []
-        held = sum(len(stop) for stops, _ in agency_module._itineraries for stop in stops)
+        held = sum(len(stop) for stops in agency_module._itineraries for stop in stops)
         assert held == agency_module._itinerary_chars <= 2_000
 
 
@@ -1137,49 +1137,6 @@ class TestRelayOverSockets:
                 forward.join(timeout=5)
                 client.close()
                 relay.stop()
-
-
-class TestOverUdp:
-    """An agency bound to UDP speaks UDP to every stop and relay target, whatever its opts say."""
-
-    def test_round_trip_with_default_opts(self):
-        a, b = (Agency(name, Endpoint("127.0.0.1", 0, "udp"), SocketTransport(), TransportOpts())
-                for name in ("a", "b"))
-        img = image("MAExample", b"u" * 64)
-        fields = [FieldDescriptor("it", TypeTag.STRING_ARRAY), FieldDescriptor("data", TypeTag.STRING_ARRAY)]
-        try:
-            for agency in (a, b):
-                agency.start()
-                agency.install_code(img)
-                agency.register_behavior("MAExample", collector_behavior(fields))
-            record = StateRecord(kind_name="MAExample", fields=fields)
-            agent_id = a.launch(record, [b.bind, a.bind])
-            assert a.wait(agent_id, 1, 5.0).status == "completed"
-            assert b.wait(agent_id, 0, 5.0).status == "dispatched"  # logged once A acknowledged
-            assert a.completions[agent_id]["data"] == ["b", "a"]
-            assert not a.failures and not b.failures
-        finally:
-            a.stop()
-            b.stop()
-
-    def test_relay_forwards_code_to_a_udp_target(self):
-        relay, target = (Agency(name, Endpoint("127.0.0.1", 0, "udp"), SocketTransport(), TransportOpts())
-                         for name in ("relay", "target"))
-        img = CodeImage.from_code("Relayed", b"r" * 64)
-        relay.install_code(img)
-        client = SocketTransport()
-        try:
-            relay.start()
-            target.start()
-            receipt = client.send_frame(relay.bind, forward_request(img, target.bind.port))
-            assert receipt.ok
-            [result] = wire.decode_forward_results(receipt.reply.payload)
-            assert (result.port, result.ok) == (target.bind.port, True)
-            assert target.lookup_code("Relayed") == img
-        finally:
-            client.close()
-            relay.stop()
-            target.stop()
 
 
 HELD_FIELDS = [FieldDescriptor("it", TypeTag.STRING_ARRAY), FieldDescriptor("data", TypeTag.STRING_ARRAY)]

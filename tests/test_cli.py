@@ -38,6 +38,9 @@ class TestUsage:
         ["serve", "--config", "c.json", "--buffer-size=1"],
         ["launch", "--config", "c.json", "--kind", "K", "--itinerary", "10.0.0.1:1", "--buffer-size=1"],
         ["bench-pingpong", "--buffer-size=1"],
+        ["serve", "--config", "c.json", "--protocol=tcp"],
+        ["launch", "--config", "c.json", "--kind", "K", "--itinerary", "10.0.0.1:1", "--protocol=tcp"],
+        ["bench-pingpong", "--protocol=tcp"],
     ], ids=lambda argv: argv[0] + argv[-1].split("=")[0])
     def test_flags_that_were_removed_are_usage_errors(self, argv, capsys):
         assert main(argv) == 1
@@ -128,12 +131,42 @@ class TestConfigFiles:
 
     def test_unknown_transport_keys_are_a_usage_error(self, tmp_path, capsys):
         config = write_json(tmp_path / "bench.json", {
-            "repetitions": 1, "transport": {"buffer_size": 8192, "compress_level": 6, "no_delay": True},
+            "repetitions": 1,
+            "transport": {"ack_timeout_s": 0.5, "buffer_size": 8192, "compress_level": 6, "no_delay": True},
         })
         assert main(["bench-pingpong", "--config", config]) == 1
         err = capsys.readouterr().err
-        assert err.startswith('error: unknown "transport" key(s) in config: buffer_size, compress_level')
+        assert err.startswith(
+            'error: unknown "transport" key(s) in config: ack_timeout_s, buffer_size, compress_level')
         assert "Traceback" not in err
+
+    def test_udp_is_refused_everywhere_with_one_message(self, tmp_path, capsys, monkeypatch):
+        import argparse
+        import dataclasses
+
+        from agentway import cli
+        from agentway.distribution import Topology
+        from agentway.transport import TransportOpts
+
+        topology = {"segments": {"s": ["10.0.0.1:1"]}, "manager": "10.0.0.1:1", "protocol": "udp"}
+        messages = []
+        for refused in (lambda: TransportOpts(protocol="udp"), lambda: Topology.from_dict(topology)):
+            with pytest.raises(ValueError, match="UDP was removed") as info:
+                refused()
+            messages.append(str(info.value))
+        def started(agency):  # serve would then wait for SIGINT
+            raise AssertionError("serve started an agency on a refused config")
+
+        monkeypatch.setattr(cli.Agency, "start", started)
+        config = write_json(tmp_path / "serve.json", {"bind": "127.0.0.1:0", "transport": {"protocol": "udp"}})
+        assert main(["serve", "--config", config]) == 1
+        assert messages[0] == messages[1]
+        assert capsys.readouterr().err == f"error: {messages[0]}\n"
+        # "tcp" is still taken, from a config and from the benchmark's own call, and is no field
+        assert cli._opts_from({"transport": {"protocol": "tcp"}}, argparse.Namespace()) == TransportOpts()
+        assert TransportOpts(protocol="tcp", no_delay=True, compress=True) == TransportOpts(no_delay=True, compress=True)
+        assert [f.name for f in dataclasses.fields(TransportOpts)] == ["no_delay", "compress", "connect_timeout_s"]
+        assert Topology.from_dict(dict(topology, protocol="tcp")).manager.port == 1
 
     @pytest.mark.parametrize("value", [0, -1.0, float("inf"), 1e12, 1e300])  # json writes and reads inf as Infinity
     def test_a_timeout_that_is_not_a_positive_finite_number_is_exit_1(self, tmp_path, capsys, value):

@@ -21,8 +21,8 @@ from agentway.transport import Endpoint, InProcNetwork, Link, ModeledTransport, 
 from agentway.wire import Frame, FrameKind
 
 
-def ep(seg: int, host: int, protocol="tcp") -> Endpoint:
-    return Endpoint(f"10.0.{seg}.{host}", 9000, protocol)
+def ep(seg: int, host: int) -> Endpoint:
+    return Endpoint(f"10.0.{seg}.{host}", 9000)
 
 
 def three_segment_topology() -> Topology:
@@ -56,7 +56,7 @@ class TestResolve:
         out = resolve_itinerary(["alpha:9000", "10.0.0.5:9000", "beta"],
                                 resolver=resolver, default_port=7000)
         assert calls == ["alpha", "beta"]
-        assert out[0] == Endpoint("192.168.1.10", 9000, "tcp")
+        assert out[0] == Endpoint("192.168.1.10", 9000)
         assert out[2].port == 7000
 
     def test_unresolvable_name_fails_the_launch(self):

@@ -41,8 +41,8 @@ def ack_handler(frame, source):
 
 def serve_tcp(handler=ack_handler):
     transport = SocketTransport()
-    listener = transport.serve(Endpoint(LOOP, 0, "tcp"), handler)
-    return transport, listener, Endpoint(LOOP, listener.endpoint_port, "tcp")
+    listener = transport.serve(Endpoint(LOOP, 0), handler)
+    return transport, listener, Endpoint(LOOP, listener.endpoint_port)
 
 
 def kernel_timeouts(sock):
@@ -58,20 +58,19 @@ class TestEndpoint:
             Endpoint("example.com", 80)
 
     def test_parse(self):
-        ep = parse_endpoint("10.0.0.1:9000", "udp")
-        assert (ep.address, ep.port, ep.protocol) == ("10.0.0.1", 9000, "udp")
+        ep = parse_endpoint("10.0.0.1:9000")
+        assert (ep.address, ep.port) == ("10.0.0.1", 9000)
 
     def test_the_key_is_address_and_port_and_no_part_of_the_value(self):
         ep = Endpoint("10.0.0.1", 9000)
         assert ep.key == ("10.0.0.1", 9000)
-        assert repr(ep) == "Endpoint(address='10.0.0.1', port=9000, protocol='tcp')"
-        assert ep == Endpoint("10.0.0.1", 9000, "tcp") and ep != Endpoint("10.0.0.1", 9000, "udp")
-        assert hash(ep) == hash(("10.0.0.1", 9000, "tcp"))  # the compared fields, no key
+        assert repr(ep) == "Endpoint(address='10.0.0.1', port=9000)"
+        assert ep == Endpoint("10.0.0.1", 9000) and ep != Endpoint("10.0.0.1", 9001)
+        assert hash(ep) == hash(("10.0.0.1", 9000))  # the compared fields, no key
         assert [f.name for f in dataclasses.fields(Endpoint) if f.init or f.repr or f.compare] == [
-            "address", "port", "protocol"]
+            "address", "port"]
         moved = dataclasses.replace(ep, port=9001)
         assert moved.key == ("10.0.0.1", 9001) and ep.key == ("10.0.0.1", 9000)
-        assert dataclasses.replace(ep, protocol="udp").key == ep.key
         with pytest.raises(dataclasses.FrozenInstanceError):
             ep.port = 9001
 
@@ -85,20 +84,15 @@ class TestEndpoint:
 class TestTransportOpts:
     # 1e12 and 1e300 are finite but past what a socket's timeout holds (threading.TIMEOUT_MAX)
     @pytest.mark.parametrize("value", [0, -1.0, float("inf"), float("nan"), "5", 1e12, 1e300])
-    @pytest.mark.parametrize("name", ["connect_timeout_s", "ack_timeout_s"])
-    def test_a_timeout_must_be_a_positive_finite_number(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be a positive finite number"):
-            TransportOpts(**{name: value})
+    def test_a_timeout_must_be_a_positive_finite_number(self, value):
+        with pytest.raises(ValueError, match="^connect_timeout_s must be a positive finite number"):
+            TransportOpts(connect_timeout_s=value)
 
-    @pytest.mark.parametrize("protocol", ["tcp", "udp"])
-    def test_sends_at_the_longest_timeout_a_socket_holds_succeed(self, protocol):
-        opts = TransportOpts(protocol=protocol, connect_timeout_s=threading.TIMEOUT_MAX,
-                             ack_timeout_s=threading.TIMEOUT_MAX)
-        transport = SocketTransport()
-        listener = transport.serve(Endpoint(LOOP, 0, protocol), ack_handler)
+    def test_sends_at_the_longest_timeout_a_socket_holds_succeed(self):
+        opts = TransportOpts(connect_timeout_s=threading.TIMEOUT_MAX)
+        transport, listener, endpoint = serve_tcp()
         try:
-            endpoint = Endpoint(LOOP, listener.endpoint_port, protocol)
-            for _ in range(2):  # over TCP a new connection, then the pooled one
+            for _ in range(2):  # a new connection, then the pooled one
                 assert transport.send_frame(endpoint, Frame(FrameKind.ACK), opts).ok
         finally:
             listener.close()
@@ -118,11 +112,11 @@ class TestLinkModel:
 class TestModeledTransport:
     def test_ack_roundtrip_and_stats(self):
         net = InProcNetwork()
-        a = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"))
-        b = ModeledTransport(net, Endpoint("10.0.0.2", 1, "tcp"))
+        a = ModeledTransport(net, Endpoint("10.0.0.1", 1))
+        b = ModeledTransport(net, Endpoint("10.0.0.2", 1))
         seen = []
-        b.serve(Endpoint("10.0.0.2", 1, "tcp"), lambda f, s: (seen.append(f), Frame(FrameKind.ACK))[1])
-        receipt = a.send_frame(Endpoint("10.0.0.2", 1, "tcp"), Frame(FrameKind.ACK))
+        b.serve(Endpoint("10.0.0.2", 1), lambda f, s: (seen.append(f), Frame(FrameKind.ACK))[1])
+        receipt = a.send_frame(Endpoint("10.0.0.2", 1), Frame(FrameKind.ACK))
         assert receipt.ok and receipt.bytes_on_wire == 16
         assert seen == [Frame(FrameKind.ACK)]
         stats = a.link_stats(("10.0.0.2", 1))
@@ -130,8 +124,8 @@ class TestModeledTransport:
 
     def test_modeled_delay_matches_formula_exactly(self):
         net = InProcNetwork()
-        ep = Endpoint("10.0.0.2", 1, "tcp")
-        t = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"),
+        ep = Endpoint("10.0.0.2", 1)
+        t = ModeledTransport(net, Endpoint("10.0.0.1", 1),
                              link_model=LinkModel(10_000_000, 0.001))
         t.serve(ep, ack_handler)
         frame = Frame(FrameKind.AGENT_TRANSFER, b"x" * (1000 - 16))  # 1000 bytes on the wire
@@ -146,20 +140,11 @@ class TestModeledTransport:
         slow = Link("slow", model=LinkModel(64_000, 0.01))
         assert t.send_frame(ep, frame, link=slow).send_duration_s == 0.01 + 8000 / 64_000
 
-    def test_udp_oversize_rejected_without_side_effects(self):
-        net = InProcNetwork()
-        ep = Endpoint("10.0.0.2", 1, "udp")
-        t = ModeledTransport(net, Endpoint("10.0.0.1", 1, "udp"))
-        t.serve(ep, ack_handler)
-        with pytest.raises(OversizeError):
-            t.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"x" * 70000))
-        assert t.link_stats(ep).frames_sent == 0
-
     def test_tcp_frame_over_the_cap_rejected_without_side_effects(self, monkeypatch):
         monkeypatch.setattr(transport_module, "MAX_FRAME_BYTES", 1000)
         net = InProcNetwork()
-        ep = Endpoint("10.0.0.2", 1, "tcp")
-        t = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"))
+        ep = Endpoint("10.0.0.2", 1)
+        t = ModeledTransport(net, Endpoint("10.0.0.1", 1))
         seen = []
         t.serve(ep, lambda f, s: (seen.append(f), Frame(FrameKind.ACK))[1])
         assert t.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"x" * (1000 - 16))).ok
@@ -168,14 +153,14 @@ class TestModeledTransport:
         assert len(seen) == t.link_stats(ep).frames_sent == 1
 
     def test_no_listener_is_connection_refused(self):
-        t = ModeledTransport(InProcNetwork(), Endpoint("10.0.0.1", 1, "tcp"))
+        t = ModeledTransport(InProcNetwork(), Endpoint("10.0.0.1", 1))
         with pytest.raises(TransportError, match="refused"):
-            t.send_frame(Endpoint("10.0.0.9", 1, "tcp"), Frame(FrameKind.ACK))
+            t.send_frame(Endpoint("10.0.0.9", 1), Frame(FrameKind.ACK))
 
     def test_code_and_state_byte_partition(self):
         net = InProcNetwork()
-        ep = Endpoint("10.0.0.2", 1, "tcp")
-        t = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"))
+        ep = Endpoint("10.0.0.2", 1)
+        t = ModeledTransport(net, Endpoint("10.0.0.1", 1))
         t.serve(ep, ack_handler)
         t.send_frame(ep, Frame(FrameKind.CODE_PUSH, b"c" * 1024))
         stats = t.link_stats(ep)
@@ -187,8 +172,8 @@ class TestModeledTransport:
 
     def test_two_identical_sends_double_the_counters(self):
         net = InProcNetwork()
-        ep = Endpoint("10.0.0.2", 1, "tcp")
-        t = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"))
+        ep = Endpoint("10.0.0.2", 1)
+        t = ModeledTransport(net, Endpoint("10.0.0.1", 1))
         t.serve(ep, ack_handler)
         t.send_frame(ep, Frame(FrameKind.CODE_PUSH, b"c" * 50))
         single = t.link_stats(ep)
@@ -280,8 +265,8 @@ class TestTaskQueue:
 
 def replying(raw: bytes):
     """A modeled transport and the endpoint of a handler that answers every frame with ``raw``."""
-    t = ModeledTransport(InProcNetwork(), Endpoint("10.0.0.1", 1, "tcp"))
-    ep = Endpoint("10.0.0.2", 1, "tcp")
+    t = ModeledTransport(InProcNetwork(), Endpoint("10.0.0.1", 1))
+    ep = Endpoint("10.0.0.2", 1)
     t.serve(ep, lambda frame, source: SimpleNamespace(encoded=lambda: raw))
     return t, ep
 
@@ -417,7 +402,7 @@ class TestTcpSockets:
     def test_connection_refused(self):
         transport = SocketTransport()
         with pytest.raises(TransportError):
-            transport.send_frame(Endpoint(LOOP, 1, "tcp"), Frame(FrameKind.ACK),
+            transport.send_frame(Endpoint(LOOP, 1), Frame(FrameKind.ACK),
                                  TransportOpts(connect_timeout_s=1.0))
 
     def test_nack_surfaces_peer_error_code(self):
@@ -467,136 +452,10 @@ class TestTcpSockets:
             transport.close()
 
 
-class TestUdpSockets:
-    def test_ack_over_loopback(self):
-        transport = SocketTransport()
-        opts = TransportOpts(protocol="udp")
-        listener = transport.serve(Endpoint(LOOP, 0, "udp"), ack_handler)
-        ep = Endpoint(LOOP, listener.endpoint_port, "udp")
-        try:
-            receipt = transport.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"state"), opts)
-            assert receipt.ok
-        finally:
-            listener.close()
-
-    def test_a_reply_that_cannot_be_sent_is_logged(self, monkeypatch, caplog):
-        transport = SocketTransport()
-        listener = transport.serve(Endpoint(LOOP, 0, "udp"), ack_handler)
-        ep = Endpoint(LOOP, listener.endpoint_port, "udp")
-
-        def refused(sock, *args, _method=socket.socket.sendmsg):
-            if sock is listener._sock:
-                raise OSError(105, "No buffer space available")
-            return _method(sock, *args)
-
-        monkeypatch.setattr(socket.socket, "sendmsg", refused)
-        try:
-            with caplog.at_level(logging.WARNING, logger="agentway.transport"):
-                with pytest.raises(TransportError, match="no ack"):  # the sender sees a lost reply
-                    transport.send_frame(ep, Frame(FrameKind.ACK),
-                                         TransportOpts(protocol="udp", ack_timeout_s=0.05))
-        finally:
-            listener.close()
-        [message] = {r.getMessage() for r in caplog.records if "not sent" in r.getMessage()}
-        assert message.startswith(f"listener on port {ep.port}: reply to ('{LOOP}', ")
-        assert message.endswith("not sent: [Errno 105] No buffer space available")
-
-    def test_oversize_rejected_before_sending(self):
-        transport = SocketTransport()
-        with pytest.raises(OversizeError):
-            transport.send_frame(Endpoint(LOOP, 9, "udp"),
-                                 Frame(FrameKind.AGENT_TRANSFER, b"x" * 70000),
-                                 TransportOpts(protocol="udp"))
-        assert transport.total_stats().frames_sent == 0
-
-    def test_silent_peer_times_out_after_retransmission(self):
-        transport = SocketTransport()
-        opts = TransportOpts(protocol="udp", ack_timeout_s=0.05)
-
-        def mute(frame, source):
-            raise SystemExit  # never replies
-
-
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.bind((LOOP, 0))  # bound but nobody reads: no ICMP, no reply
-        port = sock.getsockname()[1]
-        try:
-            with pytest.raises(TransportError):
-                transport.send_frame(Endpoint(LOOP, port, "udp"), Frame(FrameKind.ACK), opts)
-        finally:
-            sock.close()
-
-    def test_a_reply_from_another_source_is_not_taken(self):
-        forger = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        forger.bind((LOOP, 0))
-
-        def handler(frame, source):
-            forger.sendto(wire.nack(wire.ERR_INTERNAL, "forged").encoded(), source)  # arrives first
-            return Frame(FrameKind.ACK)
-
-        transport = SocketTransport()
-        listener = transport.serve(Endpoint(LOOP, 0, "udp"), handler)
-        ep = Endpoint(LOOP, listener.endpoint_port, "udp")
-        try:
-            receipt = transport.send_frame(ep, Frame(FrameKind.ACK), TransportOpts(protocol="udp"))
-            assert receipt.ok, receipt.error_message
-        finally:
-            listener.close()
-            forger.close()
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs all of 127/8 on loopback")
-    @pytest.mark.parametrize("bind, targets", [("0.0.0.0", ("127.0.0.1", "127.0.0.2")),
-                                               ("::", ("::1", "127.0.0.2"))])
-    def test_a_wildcard_listener_answers_from_the_address_sent_to(self, bind, targets):
-        # the routing answers 127.0.0.1 from 127.0.0.1, so a reply to a datagram sent to
-        # 127.0.0.2 leaves from the wrong address unless the listener picks its source
-        transport = SocketTransport()
-        try:
-            listener = transport.serve(Endpoint(bind, 0, "udp"), ack_handler)
-        except TransportError as exc:
-            pytest.skip(f"no {bind} here: {exc}")
-        if bind == "::" and listener._sock.getsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY):
-            targets = targets[:1]  # an IPv6-only socket hears no IPv4 datagram
-        opts = TransportOpts(protocol="udp", ack_timeout_s=1.0)
-        try:
-            for address in targets:
-                receipt = transport.send_frame(Endpoint(address, listener.endpoint_port, "udp"),
-                                               Frame(FrameKind.ACK), opts)
-                assert receipt.ok, address
-        finally:
-            listener.close()
-            transport.close()
-
-    def test_a_refused_datagram_fails_at_once(self):
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.bind((LOOP, 0))
-        port = sock.getsockname()[1]
-        sock.close()  # nobody bound: the kernel answers with ICMP port unreachable
-        opts = TransportOpts(protocol="udp", ack_timeout_s=5.0)
-        with pytest.raises(TransportError, match="udp send to .* failed"):
-            SocketTransport().send_frame(Endpoint(LOOP, port, "udp"), Frame(FrameKind.ACK), opts)
-
-    def test_malformed_datagram_gets_error_and_listener_survives(self):
-
-        transport = SocketTransport()
-        opts = TransportOpts(protocol="udp")
-        listener = transport.serve(Endpoint(LOOP, 0, "udp"), ack_handler)
-        ep = Endpoint(LOOP, listener.endpoint_port, "udp")
-        try:
-            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-                sock.settimeout(5)
-                sock.sendto(b"junk", (ep.address, ep.port))
-                reply, _ = sock.recvfrom(65535)
-            assert wire.decode_frame(reply).kind == FrameKind.ERROR
-            assert transport.send_frame(ep, Frame(FrameKind.ACK), opts).ok
-        finally:
-            listener.close()
-
-
 def serve_modeled():
     net = InProcNetwork()
-    transport = ModeledTransport(net, Endpoint("10.0.0.1", 1, "tcp"))
-    ep = Endpoint("10.0.0.2", 1, "tcp")
+    transport = ModeledTransport(net, Endpoint("10.0.0.1", 1))
+    ep = Endpoint("10.0.0.2", 1)
     return transport, transport.serve(ep, ack_handler), ep
 
 
@@ -628,20 +487,15 @@ class TestListenerClose:
         # compare sets, not counts: a thread left by an earlier test may end meanwhile
         before = set(threading.enumerate())
         transport = SocketTransport()
-        for protocol in ("tcp", "udp", "tcp", "udp", "tcp", "udp"):
-            opts = TransportOpts(protocol=protocol)
-            listener = transport.serve(Endpoint(LOOP, 0, protocol), ack_handler)
-            if protocol == "udp":  # a UDP handler runs on the listener's own thread
-                ep = Endpoint(LOOP, listener.endpoint_port, "udp")
-                assert transport.send_frame(ep, Frame(FrameKind.ACK), opts).ok
+        for _ in range(3):
+            listener = transport.serve(Endpoint(LOOP, 0), ack_handler)
             assert len(set(threading.enumerate()) - before) == 1
             listener.close()
             assert set(threading.enumerate()) - before == set()
         listener.close()  # closing twice is harmless
         assert crashes == []  # each thread ended by returning, not by an exception
 
-    @pytest.mark.parametrize("protocol", ["tcp", "udp"])
-    def test_a_reply_in_hand_goes_out_at_close(self, protocol):
+    def test_a_reply_in_hand_goes_out_at_close(self):
         entered, release = threading.Event(), threading.Event()
 
         def handler(frame, source):
@@ -650,20 +504,17 @@ class TestListenerClose:
             return Frame(FrameKind.ACK)
 
         transport = SocketTransport()
-        listener = transport.serve(Endpoint(LOOP, 0, protocol), handler)
+        listener = transport.serve(Endpoint(LOOP, 0), handler)
         closer = threading.Thread(target=listener.close)
-        kind = socket.SOCK_STREAM if protocol == "tcp" else socket.SOCK_DGRAM
         try:
-            with socket.socket(socket.AF_INET, kind) as client:
-                client.settimeout(5)
-                client.connect((LOOP, listener.endpoint_port))
+            with socket.create_connection((LOOP, listener.endpoint_port), timeout=5) as client:
                 client.sendall(wire.encode_frame(Frame(FrameKind.AGENT_TRANSFER, b"state")))
                 assert entered.wait(5)
                 closer.start()
                 closer.join(0.2)  # close() has stopped the reading by now
                 assert closer.is_alive()  # and waits for the handler
                 release.set()
-                reply = read_frame_bytes(client) if protocol == "tcp" else client.recv(65535)
+                reply = read_frame_bytes(client)
                 assert wire.decode_frame(reply).kind == FrameKind.ACK  # the sender hears it was admitted
             closer.join(5)
             assert not closer.is_alive()
@@ -932,10 +783,10 @@ class TestTcpConnections:
         """One put past ``MAX_IDLE`` idle connections closes the one idle longest."""
         monkeypatch.setattr(transport_module, "MAX_IDLE", 2)
         server, transport = SocketTransport(), SocketTransport()
-        listeners = [server.serve(Endpoint(LOOP, 0, "tcp"), ack_handler) for _ in range(4)]
+        listeners = [server.serve(Endpoint(LOOP, 0), ack_handler) for _ in range(4)]
         try:
             for port in (listener.endpoint_port for listener in listeners):
-                assert transport.send_frame(Endpoint(LOOP, port, "tcp"), Frame(FrameKind.ACK)).ok
+                assert transport.send_frame(Endpoint(LOOP, port), Frame(FrameKind.ACK)).ok
             assert [peer[1] for (peer, _), *_ in transport._idle] == [
                 listener.endpoint_port for listener in listeners[2:]]
             assert wait_until(lambda: [listener.open_connections for listener in listeners] == [0, 0, 1, 1])
@@ -948,8 +799,8 @@ class TestTcpConnections:
         monkeypatch.setattr(transport_module, "MAX_IDLE", 2)
         interval = sys.getswitchinterval()
         server, transport = SocketTransport(), SocketTransport()
-        listeners = [server.serve(Endpoint(LOOP, 0, "tcp"), ack_handler) for _ in range(3)]
-        eps = [Endpoint(LOOP, listener.endpoint_port, "tcp") for listener in listeners]
+        listeners = [server.serve(Endpoint(LOOP, 0), ack_handler) for _ in range(3)]
+        eps = [Endpoint(LOOP, listener.endpoint_port) for listener in listeners]
         receipts = []
 
         def send(n):
@@ -985,8 +836,8 @@ class TestTcpConnections:
             release.wait(5)
             return Frame(FrameKind.ACK)
 
-        listener = SocketTransport().serve(Endpoint(LOOP, 0, "tcp"), handler)
-        ep = Endpoint(LOOP, listener.endpoint_port, "tcp")
+        listener = SocketTransport().serve(Endpoint(LOOP, 0), handler)
+        ep = Endpoint(LOOP, listener.endpoint_port)
         receipts = []
         sender = threading.Thread(target=lambda: receipts.append(transport.send_frame(ep, Frame(FrameKind.ACK))))
         try:
@@ -1120,7 +971,7 @@ class TestSystemCallBudget:
 
         thread = threading.Thread(target=answer_with_junk, daemon=True)
         transport = SocketTransport()
-        ep = Endpoint(LOOP, server.getsockname()[1], "tcp")
+        ep = Endpoint(LOOP, server.getsockname()[1])
         try:
             thread.start()
             receipt = transport.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"state"))
@@ -1209,7 +1060,7 @@ class TestKernelTimeouts:
         accepted = []
         acceptor = threading.Thread(target=lambda: accepted.append(server.accept()[0]), daemon=True)
         transport = SocketTransport()
-        ep = Endpoint(LOOP, server.getsockname()[1], "tcp")
+        ep = Endpoint(LOOP, server.getsockname()[1])
         frame = Frame(FrameKind.AGENT_TRANSFER, bytes(payload_bytes))
         try:
             acceptor.start()
