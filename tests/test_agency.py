@@ -1084,7 +1084,48 @@ def forward_request(img, *targets):
     return Frame(FrameKind.FORWARD_REQUEST, request.encode())
 
 
+class TestRoundTripOverSockets:
+    def test_round_trip_with_default_opts(self):
+        a, b = (Agency(name, Endpoint("127.0.0.1", 0), SocketTransport(), TransportOpts())
+                for name in ("a", "b"))
+        img = image("MAExample", b"u" * 64)
+        fields = [FieldDescriptor("it", TypeTag.STRING_ARRAY), FieldDescriptor("data", TypeTag.STRING_ARRAY)]
+        try:
+            for agency in (a, b):
+                agency.start()
+                agency.install_code(img)
+                agency.register_behavior("MAExample", collector_behavior(fields))
+            record = StateRecord(kind_name="MAExample", fields=fields)
+            agent_id = a.launch(record, [b.bind, a.bind])
+            assert a.wait(agent_id, 1, 5.0).status == "completed"
+            assert b.wait(agent_id, 0, 5.0).status == "dispatched"  # logged once A acknowledged
+            assert a.completions[agent_id]["data"] == ["b", "a"]
+            assert not a.failures and not b.failures
+        finally:
+            a.stop()
+            b.stop()
+
+
 class TestRelayOverSockets:
+    def test_relay_forwards_code_to_a_target(self):
+        relay, target = (Agency(name, Endpoint("127.0.0.1", 0), SocketTransport(), TransportOpts())
+                         for name in ("relay", "target"))
+        img = CodeImage.from_code("Relayed", b"r" * 64)
+        relay.install_code(img)
+        client = SocketTransport()
+        try:
+            relay.start()
+            target.start()
+            receipt = client.send_frame(relay.bind, forward_request(img, target.bind.port))
+            assert receipt.ok
+            [result] = wire.decode_forward_results(receipt.reply.payload)
+            assert (result.port, result.ok) == (target.bind.port, True)
+            assert target.lookup_code("Relayed") == img
+        finally:
+            client.close()
+            relay.stop()
+            target.stop()
+
     @pytest.mark.parametrize("bind_address", ["127.0.0.1", "0.0.0.0"])
     def test_forward_request_naming_the_relay_itself_is_refused_promptly(self, bind_address):
         port = free_port()

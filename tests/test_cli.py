@@ -168,6 +168,24 @@ class TestConfigFiles:
         assert [f.name for f in dataclasses.fields(TransportOpts)] == ["no_delay", "compress", "connect_timeout_s"]
         assert Topology.from_dict(dict(topology, protocol="tcp")).manager.port == 1
 
+    @pytest.mark.parametrize("command", ["launch", "bench-pingpong", "push"])
+    def test_a_file_that_names_udp_is_exit_1_before_any_socket(self, tmp_path, capsys, monkeypatch, command):
+        def forbidden(*a, **kw):
+            raise AssertionError("socket opened for a refused config")
+
+        monkeypatch.setattr(socket, "socket", forbidden)
+        monkeypatch.setattr(socket, "create_connection", forbidden)
+        config = write_json(tmp_path / "config.json", {"bind": "127.0.0.1:0", "transport": {"protocol": "udp"}})
+        topology = write_json(tmp_path / "topology.json", {
+            "segments": {"s": ["10.0.0.1:1"]}, "manager": "10.0.0.1:1", "protocol": "udp"})
+        argv = {
+            "launch": ["launch", "--config", config, "--kind", "K", "--itinerary", "10.0.0.1:1"],
+            "bench-pingpong": ["bench-pingpong", "--config", config],
+            "push": ["push", "--topology", topology, "--code", str(tmp_path / "no-code"), "--kind", "K"],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: protocol must be 'tcp', not 'udp': UDP was removed\n"
+
     @pytest.mark.parametrize("value", [0, -1.0, float("inf"), 1e12, 1e300])  # json writes and reads inf as Infinity
     def test_a_timeout_that_is_not_a_positive_finite_number_is_exit_1(self, tmp_path, capsys, value):
         config = write_json(tmp_path / "bench.json", {"repetitions": 1, "transport": {"connect_timeout_s": value}})

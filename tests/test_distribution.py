@@ -17,7 +17,15 @@ from agentway.distribution import (
     push_code,
     resolve_itinerary,
 )
-from agentway.transport import Endpoint, InProcNetwork, Link, ModeledTransport, SocketTransport, TransportOpts
+from agentway.transport import (
+    Endpoint,
+    InProcNetwork,
+    Link,
+    LinkModel,
+    ModeledTransport,
+    SocketTransport,
+    TransportOpts,
+)
 from agentway.wire import Frame, FrameKind
 
 
@@ -111,6 +119,23 @@ class TestTopology:
         topo = Topology.from_dict(doc)
         assert topo.segment_of(Endpoint("10.0.2.1", 9000)) == "b"
         assert topo.link("a--b").model.bandwidth_bits_per_s == 64000
+
+    @pytest.mark.parametrize("protocol", ["udp", "UDP", None])  # None: a JSON null
+    def test_a_protocol_but_tcp_is_refused(self, protocol):
+        doc = {"segments": {"a": ["10.0.1.1:9000"]}, "manager": "10.0.1.1:9000", "protocol": protocol}
+        with pytest.raises(ValueError) as info:
+            Topology.from_dict(doc)
+        assert str(info.value) == f"protocol must be 'tcp', not {protocol!r}: UDP was removed"
+
+    def test_a_tcp_protocol_is_the_same_topology_as_none(self):
+        doc = {
+            "segments": {"a": ["10.0.1.1:9000"], "b": ["10.0.2.1:9000"]},
+            "manager": "10.0.1.1:9000",
+            "links": {"a--b": {"bandwidth_bps": 64000}},
+        }
+        plain, tcp = Topology.from_dict(doc), Topology.from_dict(dict(doc, protocol="tcp"))
+        assert (tcp.segments, tcp.manager, tcp.mdms) == (plain.segments, plain.manager, plain.mdms)
+        assert tcp.links == plain.links and tcp.link("a--b").model == LinkModel(64000)
 
     @pytest.mark.parametrize("link_id", ["b--a", "a--c", "a-b"])
     def test_a_link_model_for_no_link_of_the_topology_is_refused(self, link_id):

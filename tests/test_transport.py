@@ -88,6 +88,24 @@ class TestTransportOpts:
         with pytest.raises(ValueError, match="^connect_timeout_s must be a positive finite number"):
             TransportOpts(connect_timeout_s=value)
 
+    @pytest.mark.parametrize("protocol", ["udp", "UDP", "Tcp", "sctp", ""])
+    def test_any_protocol_but_tcp_is_refused_with_one_message(self, protocol):
+        with pytest.raises(ValueError) as info:
+            TransportOpts(protocol=protocol)
+        assert str(info.value) == f"protocol must be 'tcp', not {protocol!r}: UDP was removed"
+
+    def test_protocol_is_taken_at_init_and_not_kept(self):
+        opts = TransportOpts(protocol="tcp", compress=True)
+        assert vars(opts) == {"no_delay": False, "compress": True, "connect_timeout_s": 5.0}
+        assert repr(opts) == "TransportOpts(no_delay=False, compress=True, connect_timeout_s=5.0)"
+        assert dataclasses.asdict(opts) == vars(opts)
+        # replace passes the init-only default, so a copy is still a TCP opts
+        assert dataclasses.replace(opts, no_delay=True) == TransportOpts(no_delay=True, compress=True)
+
+    def test_the_removed_ack_timeout_is_no_keyword(self):
+        with pytest.raises(TypeError, match="ack_timeout_s"):
+            TransportOpts(ack_timeout_s=1.0)
+
     def test_sends_at_the_longest_timeout_a_socket_holds_succeed(self):
         opts = TransportOpts(connect_timeout_s=threading.TIMEOUT_MAX)
         transport, listener, endpoint = serve_tcp()
@@ -395,6 +413,44 @@ class TestTcpSockets:
             for t in threads:
                 t.join()
             assert count[1][0] == 200
+        finally:
+            listener.close()
+            transport.close()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs all of 127/8 on loopback")
+    @pytest.mark.parametrize("bind, targets", [("0.0.0.0", ("127.0.0.1", "127.0.0.2")),
+                                               ("::", ("::1", "127.0.0.2"))])
+    def test_a_wildcard_listener_answers_at_every_address_it_hears(self, bind, targets):
+        transport = SocketTransport()
+        try:
+            listener = transport.serve(Endpoint(bind, 0), ack_handler)
+        except TransportError as exc:
+            pytest.skip(f"no {bind} here: {exc}")
+        if bind == "::" and listener._sock.getsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY):
+            targets = targets[:1]  # an IPv6-only socket hears no IPv4 connection
+        try:
+            for address in targets:
+                ep = Endpoint(address, listener.endpoint_port)
+                for _ in range(2):  # a new connection to this address, then the pooled one
+                    assert transport.send_frame(ep, Frame(FrameKind.ACK)).ok, address
+                assert transport.link_stats(ep).frames_sent == 2
+        finally:
+            listener.close()
+            transport.close()
+
+    def test_a_frame_over_the_cap_is_refused_before_connecting(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "MAX_FRAME_BYTES", 1000)
+        seen = []
+        transport, listener, ep = serve_tcp(lambda f, s: (seen.append(f), Frame(FrameKind.ACK))[1])
+        connects = []
+        real_connect = transport._connect
+        monkeypatch.setattr(transport, "_connect", lambda *a: connects.append(a) or real_connect(*a))
+        try:
+            with pytest.raises(OversizeError):
+                transport.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"x" * (1001 - 16)))
+            assert (connects, seen, transport.total_stats().frames_sent) == ([], [], 0)
+            assert transport.send_frame(ep, Frame(FrameKind.AGENT_TRANSFER, b"x" * (1000 - 16))).ok
+            assert (len(connects), len(seen), transport.total_stats().frames_sent) == (1, 1, 1)
         finally:
             listener.close()
             transport.close()
